@@ -13,8 +13,6 @@ from .geometry import (
     CIRCLE,
     INTERVAL,
     PROJECTIVE,
-    CirclePoint,
-    IntervalPoint,
     MetricKind,
     ProjectivePoint,
     circle_distance,
@@ -28,16 +26,11 @@ from .systems import (
     MoebiusMap,
     PerturbedRotation,
     Rotation,
-    SkewState,
     SystemSpec,
     TabulatedMap,
     TrajectoryRecord,
     WordStream,
-    apply_map,
-    derivative,
-    enumerate_words,
     iterate,
-    skew_step,
 )
 
 __all__ = [
@@ -45,8 +38,6 @@ __all__ = [
     "CIRCLE",
     "INTERVAL",
     "PROJECTIVE",
-    "CirclePoint",
-    "IntervalPoint",
     "ProjectivePoint",
     "MetricKind",
     "circle_distance",
@@ -62,12 +53,7 @@ __all__ = [
     "SystemSpec",
     "WordStream",
     "TrajectoryRecord",
-    "SkewState",
-    "apply_map",
-    "derivative",
     "iterate",
-    "skew_step",
-    "enumerate_words",
     "gallery",
     "gallery_ids",
     "gallery_facts",

@@ -31,7 +31,7 @@ from .operators import (
 from .synchronization import average_sync_sum, fit_sync_rate, paired_orbit, proximality_probe
 from .util import fmt, parallel_map
 
-__all__ = ["CaseResult", "CASE_ORDER", "case_ids", "run_case", "run_all", "QN_BATTERY"]
+__all__ = ["CaseResult", "CASE_ORDER", "case_ids", "run_case", "QN_BATTERY"]
 
 LOG2 = math.log(2.0)
 DIAG_ROT_CHI_TOP = 0.1707  # frozen: two independent 1e7-step runs, seeds 101/202
@@ -442,7 +442,3 @@ def run_case(case_id: str, threads: int = 1) -> CaseResult:
     t0 = time.perf_counter()
     passed, summary, files = fn(threads)
     return CaseResult(cid, bool(passed), summary, time.perf_counter() - t0, files)
-
-
-def run_all(threads: int = 1):
-    return [run_case(cid, threads) for cid in case_ids()]

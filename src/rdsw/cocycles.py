@@ -14,15 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PROJECTIVE
 from .synchronization import local_contraction_probe
-from .systems import _FAMILIES, MapSpec, SystemSpec, WordStream
+from .systems import ProjectiveMap, SystemSpec, WordStream
 from .util import OverflowGuardError, RefusalError
 
 __all__ = [
     "QR_BLOCK",
     "LOG_FLOOR",
-    "ProjectiveMap",
     "CocycleSpec",
     "ProductResult",
     "SpectrumEstimate",
@@ -38,48 +36,6 @@ __all__ = [
 QR_BLOCK = 16
 LOG_FLOOR = -700.0
 _SPECTRUM_BASE = 6 << 16
-
-
-class ProjectiveMap(MapSpec):
-    """Action of an invertible matrix on unit direction vectors.
-
-    States are unit row vectors with the sign convention handled by callers;
-    batches are (m, d) arrays. No scalar derivative is exposed (the projective
-    toolkit measures contraction geometrically instead).
-    """
-
-    family = "projective"
-    space = PROJECTIVE
-    has_derivative = False
-
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("projective map needs a square matrix")
-        d = m.shape[0]
-        if not 2 <= d <= 8:
-            raise ValueError(f"matrix dimension must be in [2, 8], got {d}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        if abs(np.linalg.det(m)) <= 1e-12:
-            raise ValueError("projective map needs an invertible matrix")
-        m.setflags(write=False)
-        self.matrix = m
-        self.dim = d
-
-    def __call__(self, x):
-        v = np.asarray(x, dtype=float)
-        if v.ndim == 1:
-            w = self.matrix @ v
-            return w / np.linalg.norm(w)
-        w = v @ self.matrix.T
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
-
-    def params(self) -> dict:
-        return {"family": self.family, "matrix": self.matrix.tolist()}
-
-
-_FAMILIES["projective"] = lambda p: ProjectiveMap(p["matrix"])
 
 
 class CocycleSpec:

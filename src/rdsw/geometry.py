@@ -15,11 +15,10 @@ __all__ = [
     "CIRCLE",
     "INTERVAL",
     "PROJECTIVE",
-    "CirclePoint",
-    "IntervalPoint",
     "ProjectivePoint",
     "MetricKind",
     "reduce_circle",
+    "coordinate_distance",
     "circle_distance",
     "interval_distance",
     "projective_distance",
@@ -45,20 +44,26 @@ def reduce_circle(x):
     return (x % 1.0) % 1.0
 
 
-def circle_distance(x, y):
-    """Arc distance min(|x - y|, 1 - |x - y|) on R/Z; lands in [0, 1/2].
+def coordinate_distance(space: str, a, b):
+    """|a - b| between coordinates (or arrays) of a 1-D space, folded to
+    min(d, 1 - d) on the circle, where both must already lie in [0, 1).
 
-    Symmetric bit-for-bit: both branches are symmetric expressions of x, y.
+    Symmetric bit-for-bit: both branches are symmetric expressions of a, b.
     """
-    d = np.abs(np.asarray(x) % 1.0 - np.asarray(y) % 1.0)
-    out = np.minimum(d, 1.0 - d)
-    return float(out) if out.ndim == 0 else out
+    d = np.abs(np.asarray(a) - np.asarray(b))
+    if space == CIRCLE:
+        d = np.minimum(d, 1.0 - d)
+    return float(d) if d.ndim == 0 else d
+
+
+def circle_distance(x, y):
+    """Arc distance on R/Z of any two coordinates; lands in [0, 1/2]."""
+    return coordinate_distance(CIRCLE, np.asarray(x) % 1.0, np.asarray(y) % 1.0)
 
 
 def interval_distance(x, y):
     """|x - y| on [0, 1]."""
-    out = np.abs(np.asarray(x) - np.asarray(y))
-    return float(out) if out.ndim == 0 else out
+    return coordinate_distance(INTERVAL, x, y)
 
 
 def projective_distance(x, y):
@@ -97,31 +102,6 @@ def space_diameter(space: str) -> float:
     if space in (INTERVAL, PROJECTIVE):
         return 1.0
     raise ValueError(f"unknown space {space!r}")
-
-
-class CirclePoint(float):
-    """A point of R/Z stored as its representative in [0, 1)."""
-
-    def __new__(cls, coordinate: float):
-        return super().__new__(cls, float(coordinate) % 1.0)
-
-    @property
-    def coordinate(self) -> float:
-        return float(self)
-
-
-class IntervalPoint(float):
-    """A point of [0, 1]."""
-
-    def __new__(cls, coordinate: float):
-        c = float(coordinate)
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"interval coordinate must lie in [0, 1], got {c}")
-        return super().__new__(cls, c)
-
-    @property
-    def coordinate(self) -> float:
-        return float(self)
 
 
 class ProjectivePoint:

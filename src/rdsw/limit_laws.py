@@ -13,16 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .geometry import CIRCLE, INTERVAL
+from .geometry import CIRCLE, INTERVAL, coordinate_distance
 from .measures import estimate_stationary, resample
-from .systems import SystemSpec, ensemble_apply
+from .systems import SystemSpec, WordStream, ensemble_apply, iterate
 from .util import RefusalError
 
 __all__ = [
     "Observable",
     "SymbolIndicator",
     "observable",
-    "LimitLawReport",
     "SllnResult",
     "Sigma2Estimate",
     "CltResult",
@@ -81,13 +80,9 @@ class Observable:
             self._spot_check()
 
     def _spot_check(self, pairs: int = 10_000):
-        from .systems import WordStream
-
         u = WordStream(0x0B5E, _CHECK_BASE, (1.0,)).uniforms(2 * pairs)
         xs, ys = u[:pairs], u[pairs:]
-        d = np.abs(xs - ys)
-        if self.space == CIRCLE:
-            d = np.minimum(d, 1.0 - d)
+        d = coordinate_distance(self.space, xs, ys)
         lhs = np.abs(self(xs) - self(ys))
         rhs = self.holder_const * d**self.holder_alpha + 1e-9
         bad = np.nonzero(lhs > rhs)[0]
@@ -136,17 +131,6 @@ class SymbolIndicator:
     """
 
     symbol: int
-
-
-@dataclass(frozen=True)
-class LimitLawReport:
-    nu_h: float
-    sigma2: float
-    ks_stat: float
-    lil_stat: float
-    n: int
-    replicas: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -265,8 +249,6 @@ def slln_check(
     stream = system.word_stream(seed, _SLLN_BASE)
     n_top = int(checkpoints.max())
     # single orbit: cheaper and exact to run scalar, then one vectorized pass
-    from .systems import iterate
-
     traj = iterate(system, float(x0), stream, n_top - 1)
     if isinstance(h, SymbolIndicator):
         sym = stream.draw(n_top)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CIRCLE
+from .geometry import CIRCLE, coordinate_distance
 from .measures import estimate_stationary
-from .systems import SystemSpec, ensemble_apply, word_matrix, word_weights
-from .util import RefusalError, linear_fit, wilson_interval
+from .systems import SystemSpec, ensemble_apply, ensemble_apply_many, word_matrix, word_weights
+from .util import RefusalError, fmt, linear_fit, wilson_interval
 
 __all__ = [
     "GammaEstimate",
@@ -78,8 +78,6 @@ class LDCurve:
     gamma_gap: float
 
     def to_csv(self) -> str:
-        from .util import fmt
-
         lines = ["epsilon,n,prob,ci_low,ci_high,fitted_rate"]
         for i, e in enumerate(self.epsilons):
             for j, n in enumerate(self.horizons):
@@ -256,27 +254,18 @@ class _SyncStat:
         self.x = float(x)
         self.y = float(y)
         self.gamma_hat = float(gamma_hat)
-        self.circle = system.space == CIRCLE
-
-    def _dist(self, a, b):
-        d = np.abs(a - b)
-        if self.circle:
-            d = np.minimum(d, 1.0 - d)
-        return d
 
     def _run(self, n, av, bv, advance):
-        d0 = self._dist(av, bv)
+        d0 = coordinate_distance(self.system.space, av, bv)
         if np.any(d0 <= 0.0):
             raise ValueError("sync deviation statistic needs x != y")
         advance()
-        dn = self._dist(av, bv)
+        dn = coordinate_distance(self.system.space, av, bv)
         cens = dn < CENSOR_FLOOR
         dn = np.maximum(dn, CENSOR_FLOOR)
         return (np.log(dn) - np.log(d0)) / n, cens
 
     def __call__(self, words, mc, n):
-        from .systems import ensemble_apply_many
-
         if words is not None:
             m = words.shape[0]
             av = np.full(m, self.x)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CIRCLE, INTERVAL, PROJECTIVE
+from .geometry import CIRCLE, INTERVAL, PROJECTIVE, base_distance, coordinate_distance
 from .systems import SystemSpec, WordStream
-from .util import RefusalError, fmt, weighted_median
+from .util import RefusalError, fmt, parallel_map, weighted_median
 
 __all__ = [
     "EmpiricalMeasure",
@@ -180,8 +180,6 @@ def estimate_stationary(
         stream = system.word_stream(seed, _STATIONARY_BASE + j)
         return _occupation(system, start, burn_in, per[j], stream)
 
-    from .util import parallel_map
-
     chunks = parallel_map(run_shard, range(shards), threads=threads)
     pts = np.concatenate([c for c in chunks if c.shape[0]])
     return EmpiricalMeasure(pts, None, system.space)
@@ -306,17 +304,10 @@ def _common_fixed_points(system: SystemSpec, points: int = 4096) -> tuple:
                 candidates.append(edge)
     common = []
     for x in candidates:
-        if all(_point_distance(system.space, float(f(x)), x) < 1e-9 for f in system.maps):
-            if not any(_point_distance(system.space, x, y) < 1e-9 for y in common):
+        if all(base_distance(system.space, float(f(x)), x) < 1e-9 for f in system.maps):
+            if not any(base_distance(system.space, x, y) < 1e-9 for y in common):
                 common.append(x)
     return tuple(sorted(common))
-
-
-def _point_distance(space: str, x: float, y: float) -> float:
-    if space == CIRCLE:
-        d = abs(x % 1.0 - y % 1.0)
-        return min(d, 1.0 - d)
-    return abs(x - y)
 
 
 def _max_ball_mass(m: EmpiricalMeasure, radius: float) -> float:
@@ -356,7 +347,8 @@ def atom_diagnostic(
     fixed = _common_fixed_points(system)
     n_eff = 1.0 / float(np.sum(m.weights**2))
     for x in fixed:
-        mass = float(np.sum(m.weights[_ball_mask(m, x, radius)]))
+        xr = x % 1.0 if m.space == CIRCLE else x
+        mass = float(np.sum(m.weights[coordinate_distance(m.space, m.atoms, xr) <= radius]))
         if mass >= dirac_mass:
             return AtomDiagnostic("dirac_at_common_fixed_point", fixed, mass, dirac_mass, n_eff)
     p_ball = min(1.0, 2.0 * radius)
@@ -366,12 +358,3 @@ def atom_diagnostic(
     top = _max_ball_mass(m, radius)
     verdict = "nonatomic_consistent" if top <= thr else "inconclusive"
     return AtomDiagnostic(verdict, fixed, top, float(thr), n_eff)
-
-
-def _ball_mask(m: EmpiricalMeasure, x: float, radius: float) -> np.ndarray:
-    if m.space == CIRCLE:
-        d = np.abs(m.atoms - x % 1.0)
-        d = np.minimum(d, 1.0 - d)
-    else:
-        d = np.abs(m.atoms - x)
-    return d <= radius

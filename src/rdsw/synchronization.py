@@ -12,8 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CIRCLE, INTERVAL, PROJECTIVE, ProjectivePoint, base_distance
-from .systems import SystemSpec, WordStream, ensemble_apply_many
+from .geometry import (
+    CIRCLE,
+    PROJECTIVE,
+    ProjectivePoint,
+    base_distance,
+    coordinate_distance,
+    projective_distance,
+)
+from .systems import SystemSpec, WordStream, _as_unit_vector, _resolve_word, ensemble_apply_many
 from .util import RefusalError, Z99, linear_fit
 
 __all__ = [
@@ -100,60 +107,42 @@ class ProximalityVerdict:
     verdict: str
 
 
-def _pair_distances_scalar(system: SystemSpec, x: float, y: float, symbols) -> np.ndarray:
-    fns = [m.scalar_fn() for m in system.maps]
-    circle = system.space == CIRCLE
-    n = len(symbols)
-    out = np.empty(n + 1)
-    a, b = float(x), float(y)
-    if circle:
-        d = abs(a % 1.0 - b % 1.0)
-        out[0] = min(d, 1.0 - d)
-    else:
-        out[0] = abs(a - b)
-    for k, s in enumerate(symbols):
-        f = fns[s]
-        a = f(a)
-        b = f(b)
-        if circle:
-            d = abs(a - b)
-            out[k + 1] = min(d, 1.0 - d)
-        else:
-            out[k + 1] = abs(a - b)
-    return out
-
-
 def paired_orbit(system: SystemSpec, x, y, word, n: int) -> SyncTrace:
     """Distances between two orbits driven by one shared word.
 
     Exchanging x and y returns bit-identical distances: every step and the
     distance formula are symmetric in the two states.
     """
-    from .systems import _resolve_word
-
     symbols = _resolve_word(system, word, n)
     seed = word.seed if isinstance(word, WordStream) else None
     sid = word.stream_id if isinstance(word, WordStream) else None
     if system.space == PROJECTIVE:
-        from .systems import _as_unit_vector
-
         a = _as_unit_vector(x)
         b = _as_unit_vector(y)
         out = np.empty(n + 1)
-        out[0] = _proj_dist(a, b)
+        out[0] = projective_distance(a, b)
         for k, s in enumerate(symbols.tolist()):
             f = system.maps[s]
             a = f(a)
             b = f(b)
-            out[k + 1] = _proj_dist(a, b)
+            out[k + 1] = projective_distance(a, b)
         return SyncTrace(out, x, y, seed, sid)
-    dists = _pair_distances_scalar(system, float(x), float(y), symbols.tolist())
-    return SyncTrace(dists, float(x), float(y), seed, sid)
-
-
-def _proj_dist(a: np.ndarray, b: np.ndarray) -> float:
-    g = float(np.dot(a, b))
-    return math.sqrt(max(0.0, 1.0 - g * g))
+    fns = [m.scalar_fn() for m in system.maps]
+    xs = np.empty(n + 1)
+    ys = np.empty(n + 1)
+    a, b = float(x), float(y)
+    xs[0], ys[0] = a, b
+    for k, s in enumerate(symbols.tolist()):
+        f = fns[s]
+        a = f(a)
+        b = f(b)
+        xs[k + 1] = a
+        ys[k + 1] = b
+    if system.space == CIRCLE:
+        # map outputs are already reduced; only the starting pair may not be
+        xs[0] %= 1.0
+        ys[0] %= 1.0
+    return SyncTrace(coordinate_distance(system.space, xs, ys), float(x), float(y), seed, sid)
 
 
 def fit_sync_rate(trace: SyncTrace, floor: float = DISTANCE_FLOOR) -> RateFit:
@@ -198,17 +187,15 @@ def average_sync_sum(
     stream = system.word_stream(seed, _AVG_BASE)
     means = np.empty(n + 1)
     if system.space == PROJECTIVE:
-        from .systems import _as_unit_vector
-
         a0 = _as_unit_vector(x)
         b0 = _as_unit_vector(y)
         av = np.tile(a0, (replicas, 1))
         bv = np.tile(b0, (replicas, 1))
-        means[0] = _proj_dist(a0, b0) ** alpha
+        means[0] = projective_distance(a0, b0) ** alpha
         step = 0
         for _, block in stream.blocks(n, replicas):
             for row in block:
-                _apply_rows(system, (av, bv), row)
+                ensemble_apply_many(system, (av, bv), row)
                 g = np.einsum("ij,ij->i", av, bv)
                 d = np.sqrt(np.maximum(0.0, 1.0 - g * g))
                 step += 1
@@ -217,14 +204,11 @@ def average_sync_sum(
         av = np.full(replicas, float(x))
         bv = np.full(replicas, float(y))
         means[0] = base_distance(system.space, float(x), float(y)) ** alpha
-        circle = system.space == CIRCLE
         step = 0
         for _, block in stream.blocks(n, replicas):
             for row in block:
                 ensemble_apply_many(system, (av, bv), row)
-                d = np.abs(av - bv)
-                if circle:
-                    d = np.minimum(d, 1.0 - d)
+                d = coordinate_distance(system.space, av, bv)
                 step += 1
                 means[step] = float(np.mean(d**alpha))
     sums = np.cumsum(means)
@@ -233,16 +217,6 @@ def average_sync_sum(
     tail = float(sums[-1] - sums[m0])
     frac = tail / total if total > 0.0 else 0.0
     return AverageSyncResult(sums, float(alpha), frac < 0.01, frac)
-
-
-def _apply_rows(system: SystemSpec, arrays, srow: np.ndarray):
-    """ensemble_apply_many for (n, d) row-vector states."""
-    for i, f in enumerate(system.maps):
-        mask = srow == i
-        if not mask.any():
-            continue
-        for a in arrays:
-            a[mask] = f(a[mask])
 
 
 def local_contraction_probe(
@@ -274,7 +248,7 @@ def local_contraction_probe(
         step = 0
         for _, block in stream.blocks(n, replicas):
             for row in block:
-                _apply_rows(system, (flat,), np.repeat(row, cloud.shape[0]))
+                ensemble_apply_many(system, (flat,), np.repeat(row, cloud.shape[0]))
                 pts = flat.reshape(replicas, cloud.shape[0], -1)
                 g = np.einsum("rkd,rld->rkl", pts, pts)
                 min_gsq = np.min(g * g, axis=(1, 2))
@@ -305,8 +279,6 @@ def local_contraction_probe(
 
 
 def _projective_ball(system: SystemSpec, x, radius: float, count: int) -> np.ndarray:
-    from .systems import _as_unit_vector
-
     center = _as_unit_vector(x if not isinstance(x, ProjectivePoint) else x.vec)
     d = center.size
     phi_max = math.asin(min(1.0, radius))
@@ -352,7 +324,7 @@ def contraction_on_average_search(
     if system.space == PROJECTIVE:
         raise RefusalError("pair construction is defined for 1-D phase spaces")
     xs, ys = _make_pairs(system.space, pairs, WordStream(seed, _CAS_PAIRS, (1.0,)))
-    d0 = _dist_1d(system.space, xs, ys)
+    d0 = coordinate_distance(system.space, xs, ys)
     keep = d0 >= 1e-12
     xs, ys, d0 = xs[keep], ys[keep], d0[keep]
     p = xs.size
@@ -362,7 +334,7 @@ def contraction_on_average_search(
     for _, block in stream.blocks(horizon, p * replicas):
         for row in block:
             ensemble_apply_many(system, (av, bv), row)
-    dk = _dist_1d(system.space, av, bv).reshape(p, replicas)
+    dk = coordinate_distance(system.space, av, bv).reshape(p, replicas)
     lambdas = np.empty(alphas.size)
     ubs = np.empty(alphas.size)
     for j, al in enumerate(alphas):
@@ -378,13 +350,6 @@ def contraction_on_average_search(
     return CASearchResult(
         alphas, lambdas, ubs, float(alphas[best]), float(lambdas[best]), certified, p
     )
-
-
-def _dist_1d(space: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.abs(a - b)
-    if space == CIRCLE:
-        d = np.minimum(d, 1.0 - d)
-    return d
 
 
 def _make_pairs(space: str, pairs: int, stream: WordStream):
@@ -441,7 +406,7 @@ def proximality_probe(
     for _, block in stream.blocks(horizon, p * replicas):
         for row in block:
             ensemble_apply_many(system, (xs, ys), row)
-            np.minimum(best, _dist_1d(system.space, xs, ys), out=best)
+            np.minimum(best, coordinate_distance(system.space, xs, ys), out=best)
     mins = best.reshape(p, replicas).min(axis=1)
     out = []
     for (a, b), mn in zip(pair_grid, mins):

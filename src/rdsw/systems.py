@@ -9,13 +9,12 @@ current point, so after n steps the point is f_{i_n} ( ... f_{i_1}(x) ... ).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CIRCLE, INTERVAL, PROJECTIVE
+from .geometry import CIRCLE, INTERVAL, PROJECTIVE, ProjectivePoint
 from .util import BudgetExceededError
 
 __all__ = [
@@ -25,16 +24,12 @@ __all__ = [
     "PerturbedRotation",
     "MoebiusMap",
     "TabulatedMap",
+    "ProjectiveMap",
     "map_from_params",
     "SystemSpec",
     "WordStream",
     "TrajectoryRecord",
-    "SkewState",
-    "apply_map",
-    "derivative",
     "iterate",
-    "skew_step",
-    "enumerate_words",
     "word_matrix",
     "word_weights",
     "ensemble_apply",
@@ -50,8 +45,7 @@ class MapSpec:
 
     Instances are immutable value objects. ``__call__``/``deriv`` accept floats
     or arrays; ``scalar_fn``/``scalar_deriv_fn`` return plain-float closures for
-    tight orbit loops. ``deriv`` is the signed derivative of the lift; use
-    :func:`derivative` for |f'|.
+    tight orbit loops. ``deriv`` is the signed derivative of the lift.
     """
 
     family = "abstract"
@@ -382,6 +376,45 @@ class TabulatedMap(MapSpec):
         }
 
 
+class ProjectiveMap(MapSpec):
+    """Action of an invertible matrix on unit direction vectors.
+
+    States are unit row vectors with the sign convention handled by callers;
+    batches are (m, d) arrays. No scalar derivative is exposed (the projective
+    toolkit measures contraction geometrically instead).
+    """
+
+    family = "projective"
+    space = PROJECTIVE
+    has_derivative = False
+
+    def __init__(self, matrix):
+        m = np.array(matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("projective map needs a square matrix")
+        d = m.shape[0]
+        if not 2 <= d <= 8:
+            raise ValueError(f"matrix dimension must be in [2, 8], got {d}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
+        if abs(np.linalg.det(m)) <= 1e-12:
+            raise ValueError("projective map needs an invertible matrix")
+        m.setflags(write=False)
+        self.matrix = m
+        self.dim = d
+
+    def __call__(self, x):
+        v = np.asarray(x, dtype=float)
+        if v.ndim == 1:
+            w = self.matrix @ v
+            return w / np.linalg.norm(w)
+        w = v @ self.matrix.T
+        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+
+    def params(self) -> dict:
+        return {"family": self.family, "matrix": self.matrix.tolist()}
+
+
 _FAMILIES = {
     "affine_interval": lambda p: AffineMap(p["a"], p["b"]),
     "rotation": lambda p: Rotation(p["c"]),
@@ -392,6 +425,7 @@ _FAMILIES = {
     "tabulated_monotone": lambda p: TabulatedMap(
         p["nodes"], p["values"], p.get("space", INTERVAL), p.get("node_derivs")
     ),
+    "projective": lambda p: ProjectiveMap(p["matrix"]),
 }
 
 
@@ -463,10 +497,6 @@ class SystemSpec:
         self.probs.setflags(write=False)
         self.space = next(iter(spaces))
         self.name = name
-        cum = np.cumsum(self.probs)
-        cum[-1] = 1.0
-        cum.setflags(write=False)
-        self.cum = cum
         if check and self.space in (CIRCLE, INTERVAL):
             self._grid_check()
 
@@ -569,25 +599,6 @@ class TrajectoryRecord:
     word_prefix: np.ndarray
 
 
-@dataclass(frozen=True)
-class SkewState:
-    """A point of the skew product: a word, a read position, and a phase point."""
-
-    word: np.ndarray
-    pos: int
-    x: object
-
-
-def apply_map(m: MapSpec, x):
-    """Evaluate one map at a point or array."""
-    return m(x)
-
-
-def derivative(m: MapSpec, x):
-    """|f'(x)| for a map with derivative support."""
-    return np.abs(m.deriv(x))
-
-
 def _resolve_word(system: SystemSpec, word, n: int) -> np.ndarray:
     if isinstance(word, WordStream):
         return word.draw(n)
@@ -638,8 +649,6 @@ def iterate(system: SystemSpec, x0, word, n: int) -> TrajectoryRecord:
 
 
 def _as_unit_vector(x0) -> np.ndarray:
-    from .geometry import ProjectivePoint
-
     if isinstance(x0, ProjectivePoint):
         return np.array(x0.vec)
     v = np.asarray(x0, dtype=float).reshape(-1)
@@ -647,38 +656,6 @@ def _as_unit_vector(x0) -> np.ndarray:
     if nrm < 1e-12:
         raise ValueError("projective state cannot be the zero vector")
     return v / nrm
-
-
-def skew_step(system: SystemSpec, state: SkewState) -> SkewState:
-    """One step of the skew product: shift the word, move the fiber point."""
-    word = np.asarray(state.word, dtype=np.int64)
-    if state.pos >= word.size:
-        raise ValueError("skew state has exhausted its word")
-    s = int(word[state.pos])
-    if not 0 <= s < system.n_maps:
-        raise ValueError(f"symbol {s} out of range")
-    fx = system.maps[s](state.x) if system.space == PROJECTIVE else float(system.maps[s](state.x))
-    return SkewState(word, state.pos + 1, fx)
-
-
-def enumerate_words(system: SystemSpec, n: int, budget: int = WORD_BUDGET):
-    """Yield every length-n word with its probability weight, first slot slowest.
-
-    Refuses when N^n exceeds the budget (default 2^24), reporting the
-    required count so the caller can switch to sampling.
-    """
-    total = system.n_maps**n
-    if total > budget:
-        raise BudgetExceededError(
-            f"exact enumeration needs N^n = {total} words, over the budget of {budget}; "
-            "use Monte Carlo sampling instead"
-        )
-    probs = [float(p) for p in system.probs]
-    for word in itertools.product(range(system.n_maps), repeat=n):
-        weight = 1.0
-        for s in word:
-            weight *= probs[s]
-        yield word, weight
 
 
 def word_matrix(system: SystemSpec, n: int, budget: int = WORD_BUDGET) -> np.ndarray:

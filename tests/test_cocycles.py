@@ -9,7 +9,6 @@ import pytest
 
 from rdsw.cocycles import (
     CocycleSpec,
-    ProjectiveMap,
     cocycle_gallery,
     cocycle_gallery_ids,
     estimate_spectrum,
@@ -18,6 +17,7 @@ from rdsw.cocycles import (
     verify_lc_rate,
 )
 from rdsw.geometry import PROJECTIVE
+from rdsw.systems import ProjectiveMap
 from rdsw.util import OverflowGuardError, RefusalError
 
 LOG2 = math.log(2.0)

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from rdsw.gallery import gallery
+from rdsw.gallery import gallery, gallery_ids
+from rdsw.geometry import CIRCLE
 from rdsw.synchronization import (
     average_sync_sum,
     contraction_on_average_search,
@@ -34,6 +35,35 @@ def test_paired_orbit_symmetric_in_endpoints():
     t1 = paired_orbit(sys, 0.1, 0.6, w, 200)
     t2 = paired_orbit(sys, 0.6, 0.1, w, 200)
     assert np.array_equal(t1.distances, t2.distances), "distance must not depend on pair order"
+
+
+def _reference_pair_distances(system, x, y, symbols):
+    """The per-step scalar loop paired_orbit must reproduce bit for bit."""
+    fns = [m.scalar_fn() for m in system.maps]
+    circle = system.space == CIRCLE
+    out = np.empty(len(symbols) + 1)
+    a, b = float(x), float(y)
+    d = abs(a % 1.0 - b % 1.0) if circle else abs(a - b)
+    out[0] = min(d, 1.0 - d) if circle else d
+    for k, s in enumerate(symbols):
+        a = fns[s](a)
+        b = fns[s](b)
+        d = abs(a - b)
+        out[k + 1] = min(d, 1.0 - d) if circle else d
+    return out
+
+
+@pytest.mark.parametrize("name", gallery_ids())
+def test_paired_orbit_matches_scalar_reference_bitwise(name):
+    sys = gallery(name)
+    starts = [(0.1, 0.6), (0.3, 0.35), (0.0, 1.0)]
+    if sys.space == CIRCLE:
+        starts.append((1.25, 0.1))  # entry 0 reduces mod 1 before the fold
+    for seed, (x, y) in enumerate(starts):
+        word = sys.word_stream(seed, 3 << 16)
+        got = paired_orbit(sys, x, y, word, 3000).distances
+        want = _reference_pair_distances(sys, x, y, word.draw(3000).tolist())
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"{name} from {(x, y)}"
 
 
 def test_fit_sync_rate_exact_on_binary():

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rdsw
 from rdsw.geometry import CIRCLE, INTERVAL
 from rdsw.systems import (
     AffineMap,
@@ -16,7 +22,6 @@ from rdsw.systems import (
     TabulatedMap,
     WordStream,
     ensemble_apply,
-    enumerate_words,
     iterate,
     map_from_params,
     word_matrix,
@@ -109,6 +114,21 @@ def test_map_from_params_round_trip():
         map_from_params({"family": "teleport"})
 
 
+def test_projective_family_known_without_cocycles_import():
+    """Every family is registered by rdsw.systems alone, whatever else is imported."""
+    code = (
+        "import sys\n"
+        "from rdsw.systems import map_from_params\n"
+        "p = {'family': 'projective', 'matrix': [[1.0, 0.0], [0.0, 2.0]]}\n"
+        "assert map_from_params(p).params() == p\n"
+        "assert 'rdsw.cocycles' not in sys.modules\n"
+    )
+    src = str(Path(rdsw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+
+
 def test_word_stream_reproducible_and_blockwise_consistent():
     ws = WordStream(7, 12345, (0.5, 0.5))
     a = ws.draw(1000)
@@ -176,6 +196,3 @@ def test_word_enumeration_budget_guard():
     )
     with pytest.raises(BudgetExceededError, match="use Monte Carlo"):
         word_matrix(tri, 14, budget=1 << 20)
-    # the generator form checks its budget on first consumption
-    with pytest.raises(BudgetExceededError):
-        next(iter(enumerate_words(tri, 14, budget=1 << 20)))
