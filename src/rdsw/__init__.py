@@ -28,7 +28,6 @@ from .systems import (
     Rotation,
     SystemSpec,
     TabulatedMap,
-    TrajectoryRecord,
     WordStream,
     iterate,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "TabulatedMap",
     "SystemSpec",
     "WordStream",
-    "TrajectoryRecord",
     "iterate",
     "gallery",
     "gallery_ids",

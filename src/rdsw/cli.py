@@ -170,7 +170,12 @@ def _resolve_system(config: dict) -> SystemSpec:
     for i, m in enumerate(maps_raw):
         if not isinstance(m, dict) or "family" not in m:
             raise ConfigError(f"system.maps[{i}]: expected an object with a 'family' key")
-        maps.append(map_from_params(m))
+        try:
+            maps.append(map_from_params(m))
+        except KeyError as e:
+            raise ConfigError(f"system.maps[{i}].{e.args[0]}: required") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"system.maps[{i}]: {e}") from e
     probs = spec.get("probs")
     if not isinstance(probs, list):
         raise ConfigError("system.probs: expected a list of reals")
@@ -196,9 +201,15 @@ def _resolve_cocycle(config: dict) -> CocycleSpec:
     probs = spec.get("probs")
     if not isinstance(probs, list):
         raise ConfigError("cocycle.probs: expected a list of reals")
+    matrices = []
+    for i, m in enumerate(mats):
+        try:
+            matrices.append(np.asarray(m, dtype=float))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"cocycle.matrices[{i}]: expected a square matrix of reals") from e
     name = spec.get("name", "custom")
     return CocycleSpec(
-        [np.asarray(m, dtype=float) for m in mats],
+        matrices,
         [_typed(p, "real", f"cocycle.probs[{i}]") for i, p in enumerate(probs)],
         name=_typed(name, "str", "cocycle.name"),
     )

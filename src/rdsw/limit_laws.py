@@ -20,7 +20,6 @@ from .util import RefusalError
 
 __all__ = [
     "Observable",
-    "SymbolIndicator",
     "observable",
     "SllnResult",
     "Sigma2Estimate",
@@ -121,19 +120,6 @@ def observable(kind: str, space: str = INTERVAL) -> Observable:
 
 
 @dataclass(frozen=True)
-class SymbolIndicator:
-    """Instrumented observable reading the driving symbol, not the position.
-
-    The k-th term of its Birkhoff sum is 1 when the symbol drawn at slot k+1
-    equals ``symbol``, so the sums are literally iid Bernoulli partial sums:
-    the textbook control case. Its stationary mean and variance are the exact
-    p and p(1-p).
-    """
-
-    symbol: int
-
-
-@dataclass(frozen=True)
 class SllnResult:
     checkpoints: np.ndarray
     means: np.ndarray
@@ -174,21 +160,12 @@ class LilResult:
     sigma2_hat: float
 
 
-def _h_values(h, x: np.ndarray, row: np.ndarray | None) -> np.ndarray:
-    if isinstance(h, SymbolIndicator):
-        if row is None:
-            raise ValueError("symbol indicator needs the driving symbols")
-        return (row == h.symbol).astype(float)
-    return np.asarray(h(x), dtype=float)
-
-
 def _ensemble_sums(system: SystemSpec, h, x0s: np.ndarray, n: int, stream, marks=None):
     """Birkhoff sums over an ensemble; optionally record S at given step counts.
 
     Returns (S_final, recorded) where recorded[m] is a copy of S after m terms
-    for each m in marks. For the symbol indicator the k-th term uses the
-    symbol drawn at slot k+1; for ordinary observables it uses h at the
-    pre-step position, so the initial point contributes the first term.
+    for each m in marks. The k-th term is h at the pre-step position, so the
+    initial point contributes the first term.
     """
     replicas = x0s.shape[0]
     x = np.array(x0s, dtype=float)
@@ -200,10 +177,7 @@ def _ensemble_sums(system: SystemSpec, h, x0s: np.ndarray, n: int, stream, marks
     terms = 0
     for _, block in stream.blocks(n, replicas):
         for row in block:
-            if isinstance(h, SymbolIndicator):
-                s += _h_values(h, x, row)
-            else:
-                s += _h_values(h, x, None)
+            s += np.asarray(h(x), dtype=float)
             ensemble_apply(system, x, row)
             terms += 1
             while next_mark is not None and next_mark == terms:
@@ -222,40 +196,30 @@ def slln_check(
 ) -> SllnResult:
     """Track |S_m/m - nu_hat| along one orbit at geometric checkpoints.
 
-    nu_hat comes from estimate_stationary on its own derived stream (or the
-    exact p for a symbol indicator); the verdict asks the final gap to be
-    below 3 sqrt(sigma2_hat / n + se_nu^2), where sigma2_hat comes from a
-    small internal estimate_sigma2 run and se_nu is the batch-means standard
-    error of nu_hat over the occupation orbit. Without the se_nu term the
-    band would be tighter than the noise of the very plug-in it centers on.
+    nu_hat comes from estimate_stationary on its own derived stream; the
+    verdict asks the final gap to be below 3 sqrt(sigma2_hat / n + se_nu^2),
+    where sigma2_hat comes from a small internal estimate_sigma2 run and se_nu
+    is the batch-means standard error of nu_hat over the occupation orbit.
+    Without the se_nu term the band would be tighter than the noise of the
+    very plug-in it centers on.
     """
     if checkpoints is None:
         checkpoints = np.unique(np.geomspace(10, n, 24).astype(np.int64))
     checkpoints = np.unique(np.asarray(checkpoints, dtype=np.int64))
     if checkpoints.min() < 1 or checkpoints.max() > n:
         raise ValueError("checkpoints must lie in [1, n]")
-    if isinstance(h, SymbolIndicator):
-        nu_hat = float(system.probs[h.symbol])
-        sigma2_hat = nu_hat * (1.0 - nu_hat)
-        se_nu = 0.0
-    else:
-        stat = estimate_stationary(system, burn_in=1000, samples=200_000, seed=seed)
-        nu_hat = stat.mean_of(h)
-        vals = np.asarray(h(stat.atoms), dtype=float)
-        nb = 32
-        bm = vals[: vals.size - vals.size % nb].reshape(nb, -1).mean(axis=1)
-        se_nu = float(bm.std(ddof=1) / math.sqrt(nb))
-        sigma2_hat = estimate_sigma2(system, h, n=4096, replicas=64, seed=seed).sigma2
+    stat = estimate_stationary(system, burn_in=1000, samples=200_000, seed=seed)
+    nu_hat = stat.mean_of(h)
+    vals = np.asarray(h(stat.atoms), dtype=float)
+    nb = 32
+    bm = vals[: vals.size - vals.size % nb].reshape(nb, -1).mean(axis=1)
+    se_nu = float(bm.std(ddof=1) / math.sqrt(nb))
+    sigma2_hat = estimate_sigma2(system, h, n=4096, replicas=64, seed=seed).sigma2
     stream = system.word_stream(seed, _SLLN_BASE)
     n_top = int(checkpoints.max())
     # single orbit: cheaper and exact to run scalar, then one vectorized pass
-    traj = iterate(system, float(x0), stream, n_top - 1)
-    if isinstance(h, SymbolIndicator):
-        sym = stream.draw(n_top)
-        terms = (sym == h.symbol).astype(float)
-    else:
-        terms = np.asarray(h(traj.points), dtype=float)
-    cum = np.cumsum(terms)
+    points = iterate(system, float(x0), stream, n_top - 1)
+    cum = np.cumsum(np.asarray(h(points), dtype=float))
     means = cum[checkpoints - 1] / checkpoints
     gaps = np.abs(means - nu_hat)
     threshold = 3.0 * math.sqrt(max(sigma2_hat, 0.0) / n + se_nu**2) + 1e-12
@@ -284,11 +248,8 @@ def estimate_sigma2(
         raise RefusalError("estimate_sigma2 needs at least 30 replicas")
     if n < 64:
         raise ValueError("n is too short for a variance estimate")
-    if isinstance(h, SymbolIndicator):
-        x0s = np.full(replicas, 0.5)
-    else:
-        stat = estimate_stationary(system, burn_in=1000, samples=100_000, seed=seed)
-        x0s = resample(stat, replicas, seed=seed).atoms
+    stat = estimate_stationary(system, burn_in=1000, samples=100_000, seed=seed)
+    x0s = resample(stat, replicas, seed=seed).atoms
     stream = system.word_stream(seed, _SIGMA_BASE)
     ell = n // 16
     marks = [j * ell for j in range(1, 17)]
@@ -362,12 +323,8 @@ def lil_statistic(
     stream = system.word_stream(seed, _LIL_BASE)
     x0s = np.full(replicas, float(x0))
     s, recorded = _ensemble_sums(system, h, x0s, n_max, stream, checkpoints)
-    if isinstance(h, SymbolIndicator):
-        p = float(system.probs[h.symbol])
-        nu_hat, sigma2_hat = p, p * (1.0 - p)
-    else:
-        nu_hat = float(s.mean() / n_max)
-        sigma2_hat = float(s.var(ddof=1) / n_max)
+    nu_hat = float(s.mean() / n_max)
+    sigma2_hat = float(s.var(ddof=1) / n_max)
     if sigma2_hat < 1e-12:
         raise RefusalError("lil_statistic is undefined for a degenerate variance")
     stats = np.zeros(replicas)

@@ -179,7 +179,11 @@ def _fit_rates(epsilons, horizons, probs):
 
 
 def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_budget):
-    """Shared engine: per horizon, exact word enumeration or MC, same streams."""
+    """Shared engine: per horizon, exact word enumeration or MC, same streams.
+
+    ``stat_builder(m, rows, n)`` runs m words at once from an iterable of n
+    symbol rows: the columns of the word matrix, or the stream's blocks.
+    """
     ne, nh = len(epsilons), len(horizons)
     probs = np.zeros((ne, nh))
     ci_low = np.zeros((ne, nh))
@@ -192,7 +196,9 @@ def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_bu
         if system.n_maps**n <= exact_budget:
             words = word_matrix(system, n, budget=exact_budget)
             weights = word_weights(system, words)
-            stats, cens = stat_builder(words, None, n)
+            # contiguous int8 columns: the loop holds one row while the next is made
+            rows = (words[:, k].copy() for k in range(n))
+            stats, cens = stat_builder(words.shape[0], rows, n)
             exact[j] = True
             censored[j] = float(np.sum(weights[cens])) if cens is not None else 0.0
             stats_means[j] = float(np.sum(stats * weights))
@@ -204,7 +210,8 @@ def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_bu
                 ci_high[i, j] = p
         else:
             stream = system.word_stream(seed, _LD_BASE + j)
-            stats, cens = stat_builder(None, (stream, replicas), n)
+            rows = (row for _, block in stream.blocks(n, replicas) for row in block)
+            stats, cens = stat_builder(replicas, rows, n)
             censored[j] = float(np.mean(cens)) if cens is not None else 0.0
             stats_means[j] = float(np.mean(stats))
             dev = stat_builder.deviation(stats)
@@ -226,20 +233,11 @@ class _DerivStat:
         self.x0 = float(x0)
         self.gamma_hat = float(gamma_hat)
 
-    def __call__(self, words, mc, n):
-        if words is not None:
-            m = words.shape[0]
-            x = np.full(m, self.x0)
-            ld = np.zeros(m)
-            for k in range(n):
-                ensemble_apply(self.system, x, words[:, k].astype(np.int64), log_deriv=ld)
-            return ld / n, None
-        stream, replicas = mc
-        x = np.full(replicas, self.x0)
-        ld = np.zeros(replicas)
-        for _, block in stream.blocks(n, replicas):
-            for row in block:
-                ensemble_apply(self.system, x, row, log_deriv=ld)
+    def __call__(self, m, rows, n):
+        x = np.full(m, self.x0)
+        ld = np.zeros(m)
+        for row in rows:
+            ensemble_apply(self.system, x, row, log_deriv=ld)
         return ld / n, None
 
     def deviation(self, stats):
@@ -255,37 +253,18 @@ class _SyncStat:
         self.y = float(y)
         self.gamma_hat = float(gamma_hat)
 
-    def _run(self, n, av, bv, advance):
+    def __call__(self, m, rows, n):
+        av = np.full(m, self.x)
+        bv = np.full(m, self.y)
         d0 = coordinate_distance(self.system.space, av, bv)
         if np.any(d0 <= 0.0):
             raise ValueError("sync deviation statistic needs x != y")
-        advance()
+        for row in rows:
+            ensemble_apply_many(self.system, (av, bv), row)
         dn = coordinate_distance(self.system.space, av, bv)
         cens = dn < CENSOR_FLOOR
         dn = np.maximum(dn, CENSOR_FLOOR)
         return (np.log(dn) - np.log(d0)) / n, cens
-
-    def __call__(self, words, mc, n):
-        if words is not None:
-            m = words.shape[0]
-            av = np.full(m, self.x)
-            bv = np.full(m, self.y)
-
-            def advance():
-                for k in range(n):
-                    ensemble_apply_many(self.system, (av, bv), words[:, k].astype(np.int64))
-
-            return self._run(n, av, bv, advance)
-        stream, replicas = mc
-        av = np.full(replicas, self.x)
-        bv = np.full(replicas, self.y)
-
-        def advance():
-            for _, block in stream.blocks(n, replicas):
-                for row in block:
-                    ensemble_apply_many(self.system, (av, bv), row)
-
-        return self._run(n, av, bv, advance)
 
     def deviation(self, stats):
         return np.abs(stats - self.gamma_hat)

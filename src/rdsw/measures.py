@@ -9,14 +9,13 @@ difference via a weighted median).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import CIRCLE, INTERVAL, PROJECTIVE, base_distance, coordinate_distance
-from .systems import SystemSpec, WordStream
-from .util import RefusalError, fmt, parallel_map, weighted_median
+from .systems import SystemSpec, WordStream, iterate
+from .util import RefusalError, parallel_map, weighted_median
 
 __all__ = [
     "EmpiricalMeasure",
@@ -89,29 +88,6 @@ class EmpiricalMeasure:
         """Integral of a function against the measure."""
         return float(np.sum(np.asarray(fn(self.atoms), dtype=float) * self.weights))
 
-    def to_csv(self) -> str:
-        """Serialize with 17 significant digits per real."""
-        buf = io.StringIO()
-        if self.space == PROJECTIVE:
-            d = self.atoms.shape[1]
-            buf.write(",".join(f"v{i}" for i in range(d)) + ",weight\n")
-            for row, w in zip(self.atoms, self.weights):
-                buf.write(",".join(fmt(v) for v in row) + f",{fmt(w)}\n")
-        else:
-            buf.write("point,weight\n")
-            for a, w in zip(self.atoms, self.weights):
-                buf.write(f"{fmt(a)},{fmt(w)}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, space: str = INTERVAL) -> "EmpiricalMeasure":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        rows = [ln.split(",") for ln in lines[1:]]
-        vals = np.array([[float(v) for v in r] for r in rows])
-        if space == PROJECTIVE:
-            return cls(vals[:, :-1], vals[:, -1], space)
-        return cls(vals[:, 0], vals[:, 1], space)
-
     def __repr__(self) -> str:
         return f"EmpiricalMeasure<{self.n_atoms} atoms on {self.space}>"
 
@@ -178,35 +154,11 @@ def estimate_stationary(
 
     def run_shard(j: int) -> np.ndarray:
         stream = system.word_stream(seed, _STATIONARY_BASE + j)
-        return _occupation(system, start, burn_in, per[j], stream)
+        return iterate(system, start, stream, burn_in + per[j])[burn_in + 1 :]
 
     chunks = parallel_map(run_shard, range(shards), threads=threads)
     pts = np.concatenate([c for c in chunks if c.shape[0]])
     return EmpiricalMeasure(pts, None, system.space)
-
-
-def _occupation(system: SystemSpec, x0, burn_in: int, samples: int, stream: WordStream):
-    n = burn_in + samples
-    symbols = stream.draw(n)
-    if system.space == PROJECTIVE:
-        x = np.asarray(x0, dtype=float)
-        x = x / np.linalg.norm(x)
-        out = np.empty((samples, x.size))
-        for k, s in enumerate(symbols.tolist()):
-            x = system.maps[s](x)
-            if k >= burn_in:
-                out[k - burn_in] = x
-        return out
-    fns = [m.scalar_fn() for m in system.maps]
-    out = np.empty(samples)
-    x = float(x0)
-    syms = symbols.tolist()
-    for s in syms[:burn_in]:
-        x = fns[s](x)
-    for k, s in enumerate(syms[burn_in:]):
-        x = fns[s](x)
-        out[k] = x
-    return out
 
 
 def resample(m: EmpiricalMeasure, n: int, seed: int = 0) -> EmpiricalMeasure:

@@ -20,7 +20,7 @@ from .geometry import (
     coordinate_distance,
     projective_distance,
 )
-from .systems import SystemSpec, WordStream, _as_unit_vector, _resolve_word, ensemble_apply_many
+from .systems import SystemSpec, WordStream, _as_unit_vector, _resolve_word, ensemble_apply_many, iterate
 from .util import RefusalError, Z99, linear_fit
 
 __all__ = [
@@ -116,28 +116,11 @@ def paired_orbit(system: SystemSpec, x, y, word, n: int) -> SyncTrace:
     symbols = _resolve_word(system, word, n)
     seed = word.seed if isinstance(word, WordStream) else None
     sid = word.stream_id if isinstance(word, WordStream) else None
+    xs = iterate(system, x, symbols, n)
+    ys = iterate(system, y, symbols, n)
     if system.space == PROJECTIVE:
-        a = _as_unit_vector(x)
-        b = _as_unit_vector(y)
-        out = np.empty(n + 1)
-        out[0] = projective_distance(a, b)
-        for k, s in enumerate(symbols.tolist()):
-            f = system.maps[s]
-            a = f(a)
-            b = f(b)
-            out[k + 1] = projective_distance(a, b)
+        out = np.array([projective_distance(a, b) for a, b in zip(xs, ys)])
         return SyncTrace(out, x, y, seed, sid)
-    fns = [m.scalar_fn() for m in system.maps]
-    xs = np.empty(n + 1)
-    ys = np.empty(n + 1)
-    a, b = float(x), float(y)
-    xs[0], ys[0] = a, b
-    for k, s in enumerate(symbols.tolist()):
-        f = fns[s]
-        a = f(a)
-        b = f(b)
-        xs[k + 1] = a
-        ys[k + 1] = b
     if system.space == CIRCLE:
         # map outputs are already reduced; only the starting pair may not be
         xs[0] %= 1.0

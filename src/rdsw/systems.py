@@ -28,7 +28,6 @@ __all__ = [
     "map_from_params",
     "SystemSpec",
     "WordStream",
-    "TrajectoryRecord",
     "iterate",
     "word_matrix",
     "word_weights",
@@ -44,8 +43,8 @@ class MapSpec:
     """Base class for the supported map families.
 
     Instances are immutable value objects. ``__call__``/``deriv`` accept floats
-    or arrays; ``scalar_fn``/``scalar_deriv_fn`` return plain-float closures for
-    tight orbit loops. ``deriv`` is the signed derivative of the lift.
+    or arrays; ``scalar_fn`` returns a plain-float closure for the scalar orbit
+    loop in ``iterate``. ``deriv`` is the signed derivative of the lift.
     """
 
     family = "abstract"
@@ -63,9 +62,6 @@ class MapSpec:
 
     def scalar_fn(self):
         return self.__call__
-
-    def scalar_deriv_fn(self):
-        return self.deriv
 
     def inverse_grid(self, ts):
         """Preimages of targets under the map, for exact partition overlaps.
@@ -111,10 +107,6 @@ class AffineMap(MapSpec):
         a, b = self.a, self.b
         return lambda x: min(1.0, max(0.0, a * x + b))
 
-    def scalar_deriv_fn(self):
-        a = self.a
-        return lambda x: a
-
     def inverse_grid(self, ts):
         ts = np.asarray(ts, dtype=float)
         return np.clip((ts - self.b) / self.a, 0.0, 1.0)
@@ -141,9 +133,6 @@ class Rotation(MapSpec):
     def scalar_fn(self):
         c = self.c
         return lambda x: (x + c) % 1.0
-
-    def scalar_deriv_fn(self):
-        return lambda x: 1.0
 
     def lift(self, x):
         return np.asarray(x, dtype=float) + self.c
@@ -191,10 +180,6 @@ class PerturbedRotation(MapSpec):
     def scalar_fn(self):
         c, k, w, ph = self.c, self._k, self._w, self.phase
         return lambda x: (x + c + k * math.sin(w * x + ph)) % 1.0
-
-    def scalar_deriv_fn(self):
-        amp, w, ph = self.amp, self._w, self.phase
-        return lambda x: 1.0 + amp * math.cos(w * x + ph)
 
     def lift(self, x):
         x = np.asarray(x, dtype=float)
@@ -259,19 +244,6 @@ class MoebiusMap(MapSpec):
             return (math.atan2(m10 * c + m11 * s, m00 * c + m01 * s) / pi) % 1.0
 
         return f
-
-    def scalar_deriv_fn(self):
-        (m00, m01), (m10, m11) = self.matrix
-        det, pi = self.det, math.pi
-
-        def df(x):
-            th = pi * x
-            c, s = math.cos(th), math.sin(th)
-            u = m00 * c + m01 * s
-            v = m10 * c + m11 * s
-            return det / (u * u + v * v)
-
-        return df
 
     def inverse_grid(self, ts):
         m = self.matrix
@@ -585,20 +557,6 @@ class WordStream:
         return self._rng().random(int(n))
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """A sampled orbit: points, cumulative log-derivative, and the word used.
-
-    ``log_deriv_partial[k]`` is sum_{j<k} log |f'_{i_{j+1}}(X_j)| so entry 0 is
-    0.0 and the array has n+1 entries; it is empty when some map in play has
-    no derivative.
-    """
-
-    points: np.ndarray
-    log_deriv_partial: np.ndarray
-    word_prefix: np.ndarray
-
-
 def _resolve_word(system: SystemSpec, word, n: int) -> np.ndarray:
     if isinstance(word, WordStream):
         return word.draw(n)
@@ -610,42 +568,31 @@ def _resolve_word(system: SystemSpec, word, n: int) -> np.ndarray:
     return symbols[:n]
 
 
-def iterate(system: SystemSpec, x0, word, n: int) -> TrajectoryRecord:
+def iterate(system: SystemSpec, x0, word, n: int) -> np.ndarray:
     """Run n steps from x0 driven by a word or a WordStream.
 
-    Returns the full orbit (n+1 points), the cumulative log-derivative along
-    it when available, and the symbols actually used. Bit-for-bit reproducible
-    for equal inputs.
+    Returns the full orbit X_0..X_n: an (n+1,) array on the circle or the
+    interval, (n+1, d) unit rows on projective space (x0 is normalised and
+    may not be the zero vector). This is the library's one single-orbit loop;
+    it is bit-for-bit reproducible for equal inputs.
     """
-    symbols = _resolve_word(system, word, n)
-    want_ld = all(m.has_derivative for m in system.maps)
+    symbols = _resolve_word(system, word, n).tolist()
     if system.space == PROJECTIVE:
         x = _as_unit_vector(x0)
         points = np.empty((n + 1, x.size), dtype=float)
         points[0] = x
-        for k, s in enumerate(symbols.tolist()):
+        for k, s in enumerate(symbols):
             x = system.maps[s](x)
             points[k + 1] = x
-        return TrajectoryRecord(points, np.empty(0), symbols)
+        return points
     fns = [m.scalar_fn() for m in system.maps]
     points = np.empty(n + 1, dtype=float)
     x = float(x0)
     points[0] = x
-    if want_ld:
-        dfns = [m.scalar_deriv_fn() for m in system.maps]
-        ldp = np.empty(n + 1, dtype=float)
-        ldp[0] = 0.0
-        acc = 0.0
-        for k, s in enumerate(symbols.tolist()):
-            acc += math.log(abs(dfns[s](x)))
-            x = fns[s](x)
-            points[k + 1] = x
-            ldp[k + 1] = acc
-        return TrajectoryRecord(points, ldp, symbols)
-    for k, s in enumerate(symbols.tolist()):
+    for k, s in enumerate(symbols):
         x = fns[s](x)
         points[k + 1] = x
-    return TrajectoryRecord(points, np.empty(0), symbols)
+    return points
 
 
 def _as_unit_vector(x0) -> np.ndarray:
@@ -687,7 +634,7 @@ def ensemble_apply(system: SystemSpec, xs: np.ndarray, srow: np.ndarray, log_der
     """Advance a vector of states one step under per-state symbols, in place.
 
     When ``log_deriv`` is given it accumulates log |f'| evaluated before the
-    move, aligned with TrajectoryRecord's convention.
+    move, so after n steps it holds sum_{k<n} log |f'_{i_{k+1}}(X_k)|.
     """
     for i, f in enumerate(system.maps):
         mask = srow == i

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from rdsw.cli import main
 
 
@@ -95,6 +97,37 @@ def test_inline_system_validation_surfaces(tmp_path, capsys):
     err = capsys.readouterr().err
     print(err)
     assert "probs must sum to 1" in err
+
+
+def _inline_binary(first_map: dict) -> dict:
+    return {
+        "command": "stationary",
+        "system": {"maps": [first_map, {"family": "affine_interval", "a": 0.5, "b": 0.5}], "probs": [0.5, 0.5]},
+        "params": {"samples": 100},
+    }
+
+
+@pytest.mark.parametrize(
+    "payload, expected",
+    [
+        (_inline_binary({"family": "affine_interval", "a": 0.5}), "config error: system.maps[0].b: required"),
+        (_inline_binary({"family": "affine_interval", "a": [1, 2], "b": 0.0}), "config error: system.maps[0]: "),
+        (
+            {
+                "command": "cocycle",
+                "cocycle": {"matrices": [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.5]]], "probs": [0.5, 0.5]},
+            },
+            "config error: cocycle.matrices[1]: expected a square matrix of reals",
+        ),
+    ],
+    ids=["missing-key", "list-for-real", "ragged-matrix"],
+)
+def test_inline_construction_errors_name_the_field(tmp_path, capsys, payload, expected):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    assert main([payload["command"], "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    print(err)
+    assert expected in err and len(err.strip().splitlines()) == 1
 
 
 def test_guard_errors_exit_4(tmp_path, capsys):

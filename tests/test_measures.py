@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rdsw.cocycles import cocycle_gallery, projective_system
 from rdsw.gallery import gallery
 from rdsw.geometry import CIRCLE, INTERVAL
 from rdsw.measures import (
@@ -82,6 +83,15 @@ def test_estimate_stationary_shards_are_bit_exact_and_thread_invariant():
     assert np.array_equal(base.atoms, pooled.atoms), "thread count changed sharded atoms"
     single = estimate_stationary(sys, burn_in=200, samples=40_000, seed=9, shards=1)
     assert not np.array_equal(base.atoms, single.atoms), "shard split should change the stream layout"
+
+
+def test_estimate_stationary_rejects_zero_projective_start():
+    sys = projective_system(cocycle_gallery("diag_rot"))
+    with pytest.raises(ValueError, match="zero vector"):
+        estimate_stationary(sys, burn_in=10, samples=100, x0=[0.0, 0.0])
+    m = estimate_stationary(sys, burn_in=10, samples=100, x0=[3.0, 4.0])
+    assert m.atoms.shape == (100, 2)
+    assert np.allclose(np.linalg.norm(m.atoms, axis=1), 1.0)
 
 
 def test_resample_reproducible():

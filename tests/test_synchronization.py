@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from rdsw.cocycles import CocycleSpec, cocycle_gallery, cocycle_gallery_ids, projective_system
 from rdsw.gallery import gallery, gallery_ids
-from rdsw.geometry import CIRCLE
+from rdsw.geometry import CIRCLE, projective_distance
 from rdsw.synchronization import (
     average_sync_sum,
     contraction_on_average_search,
@@ -64,6 +65,39 @@ def test_paired_orbit_matches_scalar_reference_bitwise(name):
         got = paired_orbit(sys, x, y, word, 3000).distances
         want = _reference_pair_distances(sys, x, y, word.draw(3000).tolist())
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"{name} from {(x, y)}"
+
+
+def _reference_projective_distances(system, x, y, symbols):
+    """The per-step projective loop paired_orbit must reproduce bit for bit."""
+    a = np.asarray(x, dtype=float) / float(np.linalg.norm(x))
+    b = np.asarray(y, dtype=float) / float(np.linalg.norm(y))
+    out = [projective_distance(a, b)]
+    for s in symbols:
+        f = system.maps[s]
+        a = f(a)
+        b = f(b)
+        out.append(projective_distance(a, b))
+    return np.array(out)
+
+
+def _projective_systems():
+    systems = [projective_system(cocycle_gallery(c)) for c in cocycle_gallery_ids()]
+    shear = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.25], [0.0, 0.0, 2.0]])
+    perm = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    systems.append(projective_system(CocycleSpec([shear, perm], (0.3, 0.7), name="shear3")))
+    return systems
+
+
+@pytest.mark.parametrize("sys", _projective_systems(), ids=lambda s: s.name)
+def test_projective_paired_orbit_matches_reference_bitwise(sys):
+    d = sys.maps[0].dim
+    starts = [(np.eye(d)[0], np.eye(d)[1]), (np.arange(1.0, d + 1.0), -np.ones(d))]
+    for seed, (x, y) in enumerate(starts):
+        word = sys.word_stream(seed, 3 << 16)
+        got = paired_orbit(sys, x, y, word, 500).distances
+        want = _reference_projective_distances(sys, x, y, word.draw(500).tolist())
+        assert got.shape == (501,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"{sys.name} from {(x, y)}"
 
 
 def test_fit_sync_rate_exact_on_binary():
