@@ -1,11 +1,19 @@
 """Batch command line: deterministic experiments, strict configs, verify.
 
-Usage: ``rdsw <command> --config <file> [--seed N] [--out DIR] [--threads K]``
-with commands stationary, sync, limits, lyapunov, ld, cocycle, ulam, verify,
-and gallery. Configs are strict JSON: unknown keys anywhere are rejected
-before any computation (exit 2 with a field path). Every run writes its
-result files plus ``manifest.json`` (config echo, seed, package versions,
-wall time); identical configs produce byte-identical result files, and only
+Usage: ``rdsw <command> [--config FILE] [--seed N] [--out DIR] [--threads K]``
+with commands stationary, sync, limits, lyapunov, ld, cocycle, ulam, verify
+(which takes ``--case ID`` and no ``--seed``: every case carries its own
+seeds), and gallery (no options).
+
+One runner serves every command but gallery. It loads the config and rejects
+unknown keys anywhere before any computation (exit 2 with a field path),
+checks the command's params against its schema, resolves the seed, threads,
+format and output directory (flags beat config values), and resolves the
+subject: a ``SystemSpec``, the ``CocycleSpec`` of ``cocycle``, or the case
+list of ``verify``. The command body only computes and adds result tables;
+the runner then writes them plus ``manifest.json`` (config echo, resolved
+subject and params, seed, package versions, wall time) and prints one
+summary line. Identical configs produce byte-identical result files, and only
 the manifest's ``wall_time_s`` field varies between repeats.
 
 Reals in CSV output carry 17 significant digits so values round-trip exactly.
@@ -27,12 +35,13 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .acceptance import case_ids, run_case
-from .cocycles import CocycleSpec, cocycle_gallery, cocycle_gallery_ids, estimate_spectrum, verify_lc_rate
+from .cocycles import COCYCLE_GALLERY, CocycleSpec, cocycle_gallery, estimate_spectrum, verify_lc_rate
 from .gallery import gallery, gallery_facts
 from .geometry import INTERVAL
 from .limit_laws import clt_test, estimate_sigma2, lil_statistic, observable, slln_check
@@ -46,7 +55,6 @@ from .util import BudgetExceededError, OverflowGuardError, RefusalError, fmt
 __all__ = ["main"]
 
 _SYNC_STREAM = 3 << 16
-_COMMANDS = ("stationary", "sync", "limits", "lyapunov", "ld", "cocycle", "ulam", "verify")
 
 
 class ConfigError(ValueError):
@@ -106,32 +114,29 @@ def _typed(value, kind: str, path: str):
 
 
 def _params(config: dict, schema: dict) -> dict:
+    """Typed params with defaults; a set as the kind lists the allowed strings."""
     raw = config.get("params", {})
     if not isinstance(raw, dict):
         raise ConfigError("params: expected an object")
     _reject_unknown(raw, schema, "params")
     out = {}
-    for key, (kind, default, choices) in schema.items():
-        if key not in raw:
+    for key, (kind, default) in schema.items():
+        value = raw.get(key)
+        if value is None and (key not in raw or default is None):
             out[key] = default
             continue
-        value = raw[key]
-        if value is None and default is None:
-            out[key] = None
-            continue
-        v = _typed(value, kind, f"params.{key}")
-        if choices is not None and v not in choices:
-            raise ConfigError(f"params.{key}: expected one of {sorted(choices)}, got {v!r}")
+        v = _typed(value, "str" if isinstance(kind, set) else kind, f"params.{key}")
+        if isinstance(kind, set) and v not in kind:
+            raise ConfigError(f"params.{key}: expected one of {sorted(kind)}, got {v!r}")
         out[key] = v
     return out
 
 
-def _load_config(path: str | None, command: str) -> dict:
+def _load_config(path: str | None, command: str, allowed: set) -> dict:
     if path is None:
         return {}
-    p = Path(path)
     try:
-        text = p.read_text()
+        text = Path(path).read_text()
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from e
     try:
@@ -140,10 +145,6 @@ def _load_config(path: str | None, command: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    allowed = {"command", "seed", "output", "format", "threads", "params"}
-    allowed.add("cocycle" if command == "cocycle" else "system")
-    if command == "verify":
-        allowed = {"command", "output", "threads", "case"}
     _reject_unknown(config, allowed, "config")
     stated = config.get("command")
     if stated is not None and stated != command:
@@ -151,8 +152,11 @@ def _load_config(path: str | None, command: str) -> dict:
     return config
 
 
-def _resolve_system(config: dict) -> SystemSpec:
-    spec = config.get("system")
+# ---------------------------------------------------------------------------
+# subjects: what a command runs on
+
+
+def _resolve_system(spec) -> SystemSpec:
     if spec is None:
         raise ConfigError("system: required (gallery id or inline object)")
     if isinstance(spec, str):
@@ -162,7 +166,7 @@ def _resolve_system(config: dict) -> SystemSpec:
             raise ConfigError(f"system: {e.args[0]}") from e
     if not isinstance(spec, dict):
         raise ConfigError("system: expected gallery id string or object")
-    _reject_unknown(spec, {"maps", "probs", "name", "space"}, "system")
+    _reject_unknown(spec, {"maps", "probs", "name"}, "system")
     maps_raw = spec.get("maps")
     if not isinstance(maps_raw, list) or not maps_raw:
         raise ConfigError("system.maps: expected non-empty list of map objects")
@@ -183,8 +187,7 @@ def _resolve_system(config: dict) -> SystemSpec:
     return SystemSpec(maps, [_typed(p, "real", f"system.probs[{i}]") for i, p in enumerate(probs)], name=_typed(name, "str", "system.name"))
 
 
-def _resolve_cocycle(config: dict) -> CocycleSpec:
-    spec = config.get("cocycle")
+def _resolve_cocycle(spec) -> CocycleSpec:
     if spec is None:
         raise ConfigError("cocycle: required (gallery id or inline object)")
     if isinstance(spec, str):
@@ -201,18 +204,20 @@ def _resolve_cocycle(config: dict) -> CocycleSpec:
     probs = spec.get("probs")
     if not isinstance(probs, list):
         raise ConfigError("cocycle.probs: expected a list of reals")
-    matrices = []
-    for i, m in enumerate(mats):
-        try:
-            matrices.append(np.asarray(m, dtype=float))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"cocycle.matrices[{i}]: expected a square matrix of reals") from e
-    name = spec.get("name", "custom")
-    return CocycleSpec(
-        matrices,
-        [_typed(p, "real", f"cocycle.probs[{i}]") for i, p in enumerate(probs)],
-        name=_typed(name, "str", "cocycle.name"),
-    )
+    probs = [_typed(p, "real", f"cocycle.probs[{i}]") for i, p in enumerate(probs)]
+    name = _typed(spec.get("name", "custom"), "str", "cocycle.name")
+    try:
+        return CocycleSpec(mats, probs, name=name)
+    except ValueError as e:  # CocycleSpec names the argument at fault first
+        raise ConfigError(f"cocycle.{e}") from e
+
+
+# subject key -> (resolver of the raw config value, echo for the manifest)
+_SUBJECTS = {
+    "system": (_resolve_system, SystemSpec.params),
+    "cocycle": (_resolve_cocycle, lambda c: c.name or "inline"),
+    "case": (lambda case: [case] if case is not None else list(case_ids()), list),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +245,24 @@ def _jcell(v):
 
 
 class _Run:
-    """Collects result tables, then writes them once, single-threaded."""
+    """Resolved run settings; collects result tables, then writes them once."""
 
-    def __init__(self, command: str, args, config: dict):
-        self.command = command
+    def __init__(self, args, config: dict, seeded: bool):
+        self.command = args.command
         self.config = config
-        self.seed = args.seed if args.seed is not None else config.get("seed", 0)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < (1 << 64):
-            raise ConfigError(f"seed: expected integer in [0, 2^64), got {self.seed!r}")
-        self.threads = args.threads if args.threads is not None else config.get("threads", 1)
-        if not isinstance(self.threads, int) or isinstance(self.threads, bool) or self.threads <= 0:
-            raise ConfigError(f"threads: expected positive integer, got {self.threads!r}")
+        self.seed = None
+        if seeded:
+            self.seed = args.seed if args.seed is not None else config.get("seed", 0)
+            if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < (1 << 64):
+                raise ConfigError(f"seed: expected integer in [0, 2^64), got {self.seed!r}")
+        threads = args.threads if args.threads is not None else config.get("threads", 1)
+        self.threads = _typed(threads, "pint", "threads")
         self.format = config.get("format", "csv")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: expected 'csv' or 'json', got {self.format!r}")
         out = args.out if args.out is not None else config.get("output")
-        self.out = Path(out) if out is not None else Path("rdsw_out") / command
+        self.out = Path(_typed(out, "str", "output")) if out is not None else Path("rdsw_out") / self.command
+        self.summary = None  # replaces the list of written files in the summary line
         self.tables: list[tuple[str, list[str], list[tuple]]] = []
         self.blobs: list[tuple[str, bytes]] = []
         self.t0 = time.perf_counter()
@@ -281,7 +288,9 @@ class _Run:
                 path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
             written.append(path.name)
         for name, data in self.blobs:
-            (self.out / name).write_bytes(data)
+            path = self.out / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
             written.append(name)
         manifest = {
             "command": self.command,
@@ -298,35 +307,48 @@ class _Run:
             },
             "wall_time_s": round(time.perf_counter() - self.t0, 3),
         }
-        (self.out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+        (self.out / "manifest.json").write_text(text + "\n")
         written.append("manifest.json")
         return written
 
 
-def _finish(run: _Run, resolved: dict) -> int:
-    written = run.write(resolved)
-    print(f"{run.command}: wrote {', '.join(written)} in {run.out}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each body gets the resolved run, its subject and its params, and
+# only computes and adds result tables
 
 
-def _cmd_stationary(args) -> int:
-    config = _load_config(args.config, "stationary")
-    p = _params(
-        config,
-        {
-            "burn_in": ("pint", 1000, None),
-            "samples": ("pint", 100_000, None),
-            "x0": ("real", None, None),
-            "shards": ("pint", 1, None),
-            "diagnostic": ("bool", False, None),
-        },
-    )
-    run = _Run("stationary", args, config)
-    sys_ = _resolve_system(config)
+class _Command(NamedTuple):
+    help: str
+    subject: str  # key of _SUBJECTS, also the config key it is read from
+    schema: dict  # param -> (kind, default); see _params
+    keys: tuple  # top-level config keys besides "command" and the subject
+    body: Callable
+
+
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name: str, help_text: str, subject: str = "system", keys=("seed", "output", "format", "threads", "params"), **schema):
+    """Register the decorated body as ``name``; ``schema`` holds its params."""
+
+    def register(body):
+        _COMMANDS[name] = _Command(help_text, subject, schema, keys, body)
+        return body
+
+    return register
+
+
+@_command(
+    "stationary",
+    "Estimate a stationary measure; write its atoms",
+    burn_in=("pint", 1000),
+    samples=("pint", 100_000),
+    x0=("real", None),
+    shards=("pint", 1),
+    diagnostic=("bool", False),
+)
+def _cmd_stationary(run: _Run, sys_: SystemSpec, p: dict):
     m = estimate_stationary(
         sys_,
         burn_in=p["burn_in"],
@@ -347,24 +369,19 @@ def _cmd_stationary(args) -> int:
             ["verdict", "max_ball_mass", "ball_threshold", "effective_sample", "common_fixed_points"],
             [(d.verdict, d.max_ball_mass, d.ball_threshold, d.effective_sample, ";".join(fmt(x) for x in d.common_fixed_points))],
         )
-    return _finish(run, {"system": sys_.params(), "params": p})
 
 
-def _cmd_sync(args) -> int:
-    config = _load_config(args.config, "sync")
-    p = _params(
-        config,
-        {
-            "mode": ("str", "rate", {"rate", "average"}),
-            "x": ("real", 0.2, None),
-            "y": ("real", 0.7, None),
-            "n": ("pint", 60, None),
-            "alpha": ("preal", 1.0, None),
-            "replicas": ("pint", 10_000, None),
-        },
-    )
-    run = _Run("sync", args, config)
-    sys_ = _resolve_system(config)
+@_command(
+    "sync",
+    "Pair-distance trace and rate fit, or averaged sync sums",
+    mode=({"rate", "average"}, "rate"),
+    x=("real", 0.2),
+    y=("real", 0.7),
+    n=("pint", 60),
+    alpha=("preal", 1.0),
+    replicas=("pint", 10_000),
+)
+def _cmd_sync(run: _Run, sys_: SystemSpec, p: dict):
     if p["mode"] == "rate":
         trace = paired_orbit(sys_, p["x"], p["y"], sys_.word_stream(run.seed, _SYNC_STREAM), p["n"])
         f = fit_sync_rate(trace)
@@ -382,35 +399,25 @@ def _cmd_sync(args) -> int:
             ["alpha", "final_sum", "bounded", "tail_fraction"],
             [(r.alpha, r.partial_sums[-1], r.bounded, r.tail_fraction)],
         )
-    return _finish(run, {"system": sys_.params(), "params": p})
 
 
-def _cmd_limits(args) -> int:
-    config = _load_config(args.config, "limits")
-    p = _params(
-        config,
-        {
-            "law": ("str", None, {"slln", "sigma2", "clt", "lil"}),
-            "observable": ("str", "coordinate", {"coordinate", "cos2pi", "sin2pi"}),
-            "x0": ("real", 0.5, None),
-            "n": ("pint", None, None),
-            "replicas": ("pint", None, None),
-        },
-    )
-    if p["law"] is None:
-        raise ConfigError("params.law: required; one of ['clt', 'lil', 'sigma2', 'slln']")
-    run = _Run("limits", args, config)
-    sys_ = _resolve_system(config)
-    h = observable(p["observable"], sys_.space)
+@_command(
+    "limits",
+    "SLLN, variance, CLT, or LIL checks for an observable",
+    law=({"slln", "sigma2", "clt", "lil"}, None),
+    observable=({"coordinate", "cos2pi", "sin2pi"}, "coordinate"),
+    x0=("real", 0.5),
+    n=("pint", None),
+    replicas=("pint", None),
+)
+def _cmd_limits(run: _Run, sys_: SystemSpec, p: dict):
     law = p["law"]
+    if law is None:
+        raise ConfigError("params.law: required; one of ['clt', 'lil', 'sigma2', 'slln']")
+    h = observable(p["observable"], sys_.space)
     if law == "slln":
-        n = p["n"] or 1_000_000
-        r = slln_check(sys_, h, p["x0"], n, seed=run.seed)
-        run.table(
-            "slln",
-            ["checkpoint", "mean", "gap"],
-            list(zip(r.checkpoints, r.means, r.gaps)),
-        )
+        r = slln_check(sys_, h, p["x0"], p["n"] or 1_000_000, seed=run.seed)
+        run.table("slln", ["checkpoint", "mean", "gap"], list(zip(r.checkpoints, r.means, r.gaps)))
         run.table(
             "slln_summary",
             ["nu_hat", "sigma2_hat", "threshold", "verdict"],
@@ -438,23 +445,20 @@ def _cmd_limits(args) -> int:
             ["median", "verdict", "nu_hat", "sigma2_hat"],
             [(r.median, r.verdict, r.nu_hat, r.sigma2_hat)],
         )
-    return _finish(run, {"system": sys_.params(), "params": p})
 
 
-def _cmd_lyapunov(args) -> int:
-    config = _load_config(args.config, "lyapunov")
-    p = _params(
-        config,
-        {
-            "n": ("pint", 1000, None),
-            "replicas": ("pint", 100, None),
-            "x0": ("real", 0.5, None),
-            "distortion": ("bool", False, None),
-            "y": ("real", None, None),
-        },
-    )
-    run = _Run("lyapunov", args, config)
-    sys_ = _resolve_system(config)
+@_command(
+    "lyapunov",
+    "Fiber Lyapunov exponent, optional distortion report",
+    n=("pint", 1000),
+    replicas=("pint", 100),
+    x0=("real", 0.5),
+    distortion=("bool", False),
+    y=("real", None),
+)
+def _cmd_lyapunov(run: _Run, sys_: SystemSpec, p: dict):
+    if p["distortion"] and sys_.space != INTERVAL and p["y"] is None:
+        raise ConfigError("params.y: required for the distortion report on the circle")
     g = estimate_gamma(sys_, n=p["n"], replicas=p["replicas"], x0=p["x0"], seed=run.seed)
     run.table(
         "gamma",
@@ -462,38 +466,27 @@ def _cmd_lyapunov(args) -> int:
         [(g.gamma_hat, g.stderr, g.one_step, g.one_step_stderr, g.consistent)],
     )
     if p["distortion"]:
-        if sys_.space != INTERVAL and p["y"] is None:
-            raise ConfigError("params.y: required for the distortion report on the circle")
         y = p["y"] if p["y"] is not None else min(1.0, p["x0"] + 0.25)
         d = distortion_report(sys_, p["x0"], y, n=p["n"], replicas=min(p["replicas"], 256), seed=run.seed)
-        run.table(
-            "distortion",
-            ["delta", "omega"],
-            list(zip(d.deltas, d.omega_grid)),
-        )
+        run.table("distortion", ["delta", "omega"], list(zip(d.deltas, d.omega_grid)))
         run.table(
             "distortion_summary",
             ["tempered", "rate", "final_max_ratio"],
             [(d.tempered, d.final_log_mean_ratio_rate, d.max_ratio_per_n[-1])],
         )
-    return _finish(run, {"system": sys_.params(), "params": p})
 
 
-def _cmd_ld(args) -> int:
-    config = _load_config(args.config, "ld")
-    p = _params(
-        config,
-        {
-            "x0": ("real", 0.5, None),
-            "y": ("real", None, None),
-            "epsilons": ("list[preal]", None, None),
-            "horizons": ("list[pint]", None, None),
-            "replicas": ("pint", 100_000, None),
-            "exact_budget": ("pint", None, None),
-        },
-    )
-    run = _Run("ld", args, config)
-    sys_ = _resolve_system(config)
+@_command(
+    "ld",
+    "Large-deviation curve (orbit or pair-distance deviations)",
+    x0=("real", 0.5),
+    y=("real", None),
+    epsilons=("list[preal]", None),
+    horizons=("list[pint]", None),
+    replicas=("pint", 100_000),
+    exact_budget=("pint", None),
+)
+def _cmd_ld(run: _Run, sys_: SystemSpec, p: dict):
     kv = dict(
         epsilons=p["epsilons"],
         horizons=None if p["horizons"] is None else tuple(p["horizons"]),
@@ -523,22 +516,18 @@ def _cmd_ld(args) -> int:
             )
         ],
     )
-    return _finish(run, {"system": sys_.params(), "params": p})
 
 
-def _cmd_cocycle(args) -> int:
-    config = _load_config(args.config, "cocycle")
-    p = _params(
-        config,
-        {
-            "mode": ("str", "spectrum", {"spectrum", "verify_lc"}),
-            "n": ("pint", 2000, None),
-            "replicas": ("pint", 100, None),
-            "radius": ("preal", 1e-3, None),
-        },
-    )
-    run = _Run("cocycle", args, config)
-    c = _resolve_cocycle(config)
+@_command(
+    "cocycle",
+    "Matrix cocycle spectrum or local-contraction check",
+    subject="cocycle",
+    mode=({"spectrum", "verify_lc"}, "spectrum"),
+    n=("pint", 2000),
+    replicas=("pint", 100),
+    radius=("preal", 1e-3),
+)
+def _cmd_cocycle(run: _Run, c: CocycleSpec, p: dict):
     if p["mode"] == "spectrum":
         e = estimate_spectrum(c, n=p["n"], replicas=p["replicas"], seed=run.seed)
         run.table("spectrum", ["index", "chi", "stderr"], [(i, x, s) for i, (x, s) in enumerate(zip(e.chis, e.stderr))])
@@ -554,65 +543,61 @@ def _cmd_cocycle(args) -> int:
             ["fraction", "q_target", "radius", "n", "replicas"],
             [(v.fraction, v.q_target, v.radius, v.n, v.replicas)],
         )
-    return _finish(run, {"cocycle": c.name or "inline", "params": p})
 
 
-def _cmd_ulam(args) -> int:
-    config = _load_config(args.config, "ulam")
-    p = _params(
-        config,
-        {
-            "k_cells": ("pint", 256, None),
-            "kind": ("str", "transfer", {"transfer", "laplace"}),
-            "export_matrix": ("bool", False, None),
-            "m_eigs": ("pint", 6, None),
-            "probe_decay": ("bool", False, None),
-        },
-    )
-    run = _Run("ulam", args, config)
-    sys_ = _resolve_system(config)
+@_command(
+    "ulam",
+    "Ulam transfer or Laplace-Markov operator and its spectrum",
+    k_cells=("pint", 256),
+    kind=({"transfer", "laplace"}, "transfer"),
+    export_matrix=("bool", False),
+    m_eigs=("pint", 6),
+    probe_decay=("bool", False),
+)
+def _cmd_ulam(run: _Run, sys_: SystemSpec, p: dict):
     op = build_transfer_ulam(sys_, p["k_cells"]) if p["kind"] == "transfer" else build_laplace_markov(sys_, p["k_cells"])
     le = leading_eigen(op)
     run.table("eigen", ["index", "weight"], list(enumerate(le.weights)))
-    summary_header = ["k_cells", "kind", "size", "residual", "iterations", "converged"]
-    summary_row = [p["k_cells"], p["kind"], op.size, le.residual, le.iterations, le.converged]
     gap = spectral_gap(op, m_eigs=p["m_eigs"])
     run.table("moduli", ["rank", "modulus"], list(enumerate(gap.moduli)))
-    summary_header += ["gap", "gap_method"]
-    summary_row += [gap.gap, gap.method]
+    header = ["k_cells", "kind", "size", "residual", "iterations", "converged", "gap", "gap_method"]
+    row = [p["k_cells"], p["kind"], op.size, le.residual, le.iterations, le.converged, gap.gap, gap.method]
     if p["probe_decay"]:
-        dec = subleading_decay(op)
-        summary_header.append("probe_decay_rate")
-        summary_row.append(dec.rate)
-    run.table("ulam_summary", summary_header, [tuple(summary_row)])
+        header.append("probe_decay_rate")
+        row.append(subleading_decay(op).rate)
+    run.table("ulam_summary", header, [tuple(row)])
     if p["export_matrix"]:
         run.blob("operator_coo.txt", op.to_coo_text().encode())
-    return _finish(run, {"system": sys_.params(), "params": p})
 
 
-def _cmd_verify(args) -> int:
-    config = _load_config(args.config, "verify")
-    case = args.case if args.case is not None else config.get("case")
-    threads = args.threads if args.threads is not None else config.get("threads", 1)
-    out = args.out if args.out is not None else config.get("output")
-    out_dir = Path(out) if out is not None else Path("rdsw_out") / "verify"
-    ids = [case] if case is not None else list(case_ids())
+@_command("verify", "Run the acceptance battery (all cases or --case ID)", subject="case", keys=("output", "threads"))
+def _cmd_verify(run: _Run, ids: list, p: dict) -> int:
     results = []
     for cid in ids:
-        r = run_case(cid, threads=threads)
+        r = run_case(cid, threads=run.threads)
         results.append(r)
         print(f"{'PASS' if r.passed else 'FAIL'} {r.case_id:20s} {r.elapsed:8.2f}s  {r.summary}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for r in results:
-        case_dir = out_dir / r.case_id
-        case_dir.mkdir(parents=True, exist_ok=True)
         for name, data in r.files.items():
-            (case_dir / name).write_bytes(data)
-    lines = ["case,passed"] + [f"{r.case_id},{int(r.passed)}" for r in results]
-    (out_dir / "report.csv").write_text("\n".join(lines) + "\n")
+            run.blob(f"{r.case_id}/{name}", data)
+    run.table("report", ["case", "passed"], [(r.case_id, r.passed) for r in results])
     n_pass = sum(r.passed for r in results)
-    print(f"verify: {n_pass}/{len(results)} cases passed; artifacts in {out_dir}")
+    run.summary = f"{n_pass}/{len(results)} cases passed; artifacts"
     return 0 if n_pass == len(results) else 1
+
+
+def _run_command(args) -> int:
+    """Config, run settings and subject in, result files and summary line out."""
+    cmd = _COMMANDS[args.command]
+    config = _load_config(args.config, args.command, {"command", cmd.subject, *cmd.keys})
+    p = _params(config, cmd.schema)
+    run = _Run(args, config, seeded="seed" in cmd.keys)
+    resolve, echo = _SUBJECTS[cmd.subject]
+    flag = getattr(args, cmd.subject, None)  # verify's --case
+    subject = resolve(flag if flag is not None else config.get(cmd.subject))
+    code = cmd.body(run, subject, p) or 0
+    written = run.write({cmd.subject: echo(subject), "params": p})
+    print(f"{run.command}: {run.summary or 'wrote ' + ', '.join(written)} in {run.out}")
+    return code
 
 
 def _cmd_gallery(args) -> int:
@@ -622,17 +607,9 @@ def _cmd_gallery(args) -> int:
         print(f"    construction: {entry['system']}")
         print(f"    facts: {entry['facts']}")
     print("cocycles:")
-    notes = {
-        "diag_rot": "diag(2, 1/2) and the 45-degree rotation, p = (1/2, 1/2); "
-        "sum of exponents exactly 0; top exponent 0.1707 (golden value)",
-        "single_hyperbolic": "one triangular matrix [[2, 1], [0, 1/2]]; "
-        "exponents exactly +/- log 2",
-        "rotation_only": "one irrational rotation matrix; both exponents 0, "
-        "no projective contraction (rate verification refuses)",
-    }
-    for cid in cocycle_gallery_ids():
+    for cid, (_, facts) in COCYCLE_GALLERY.items():
         print(f"  {cid}")
-        print(f"    facts: {notes[cid]}")
+        print(f"    facts: {facts}")
     return 0
 
 
@@ -646,28 +623,17 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Config files are strict JSON; see the package README for schemas.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "stationary": (_cmd_stationary, "Estimate a stationary measure; write its atoms"),
-        "sync": (_cmd_sync, "Pair-distance trace and rate fit, or averaged sync sums"),
-        "limits": (_cmd_limits, "SLLN, variance, CLT, or LIL checks for an observable"),
-        "lyapunov": (_cmd_lyapunov, "Fiber Lyapunov exponent, optional distortion report"),
-        "ld": (_cmd_ld, "Large-deviation curve (orbit or pair-distance deviations)"),
-        "cocycle": (_cmd_cocycle, "Matrix cocycle spectrum or local-contraction check"),
-        "ulam": (_cmd_ulam, "Ulam transfer or Laplace-Markov operator and its spectrum"),
-        "verify": (_cmd_verify, "Run the acceptance battery (all cases or --case ID)"),
-        "gallery": (_cmd_gallery, "List built-in systems and cocycles with known facts"),
-    }
-    for name, (fn, help_text) in handlers.items():
-        q = sub.add_parser(name, help=help_text)
-        q.set_defaults(func=fn)
-        if name == "gallery":
-            continue
+    for name, cmd in _COMMANDS.items():
+        q = sub.add_parser(name, help=cmd.help)
+        q.set_defaults(func=_run_command)
         q.add_argument("--config", default=None, help="JSON config file (strict schema)")
-        q.add_argument("--seed", type=int, default=None, help="seed override (64-bit)")
+        if "seed" in cmd.keys:
+            q.add_argument("--seed", type=int, default=None, help="seed override (64-bit)")
         q.add_argument("--out", default=None, help="output directory")
         q.add_argument("--threads", type=int, default=None, help="worker threads (results are independent of this)")
-        if name == "verify":
+        if cmd.subject == "case":
             q.add_argument("--case", default=None, help=f"one case id from: {', '.join(case_ids())}")
+    sub.add_parser("gallery", help="List built-in systems and cocycles with known facts").set_defaults(func=_cmd_gallery)
     return parser
 
 

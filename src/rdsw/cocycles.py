@@ -29,6 +29,7 @@ __all__ = [
     "estimate_spectrum",
     "projective_system",
     "verify_lc_rate",
+    "COCYCLE_GALLERY",
     "cocycle_gallery",
     "cocycle_gallery_ids",
 ]
@@ -39,34 +40,39 @@ _SPECTRUM_BASE = 6 << 16
 
 
 class CocycleSpec:
-    """A finite family of invertible matrices with selection probabilities."""
+    """A finite family of invertible matrices with selection probabilities.
+
+    A rejected input raises ``ValueError`` whose message starts with the
+    argument at fault, ``matrices[i]: ...`` or ``probs: ...``.
+    """
 
     def __init__(self, matrices, probs, name: str = ""):
         mats = []
-        for a in matrices:
-            m = np.array(a, dtype=float)
+        for i, a in enumerate(matrices):
+            try:
+                m = np.array(a, dtype=float)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"matrices[{i}]: expected a square matrix of reals") from e
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("cocycle matrices must be square")
+                raise ValueError(f"matrices[{i}]: must be square, got shape {m.shape}")
+            if not 2 <= m.shape[0] <= 8 or (mats and m.shape != mats[0].shape):
+                raise ValueError(f"matrices[{i}]: all matrices must share one dimension in [2, 8], got {m.shape}")
             if not np.all(np.isfinite(m)):
-                raise ValueError("cocycle matrices must be finite")
+                raise ValueError(f"matrices[{i}]: entries must be finite")
             with np.errstate(over="ignore"):
                 det = abs(float(np.linalg.det(m)))
             if det <= 1e-12:
-                raise ValueError("cocycle matrices must be invertible")
+                raise ValueError(f"matrices[{i}]: must be invertible, got |det| = {det!r}")
             m.setflags(write=False)
             mats.append(m)
         if not mats:
-            raise ValueError("cocycle needs at least one matrix")
+            raise ValueError("matrices: need at least one matrix")
         d = mats[0].shape[0]
-        if not 2 <= d <= 8:
-            raise ValueError(f"matrix dimension must be in [2, 8], got {d}")
-        if any(m.shape[0] != d for m in mats):
-            raise ValueError("all cocycle matrices must share one dimension")
         p = np.asarray(probs, dtype=float)
         if p.shape != (len(mats),):
-            raise ValueError("need exactly one probability per matrix")
+            raise ValueError("probs: need exactly one probability per matrix")
         if np.any(p <= 0.0) or abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("probabilities must be positive and sum to 1")
+            raise ValueError("probs: probabilities must be positive and sum to 1")
         p.setflags(write=False)
         self.matrices = tuple(mats)
         self.probs = p
@@ -243,27 +249,31 @@ def _rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+# id -> (builder, known facts); backs cocycle_gallery and the CLI listing
+COCYCLE_GALLERY = {
+    "diag_rot": (
+        lambda: CocycleSpec([np.diag([2.0, 0.5]), _rotation_matrix(math.pi / 4.0)], (0.5, 0.5), name="diag_rot"),
+        "diag(2, 1/2) and the 45-degree rotation, p = (1/2, 1/2); "
+        "sum of exponents exactly 0; top exponent 0.1707 (golden value)",
+    ),
+    "single_hyperbolic": (
+        lambda: CocycleSpec([np.array([[2.0, 1.0], [0.0, 0.5]])], (1.0,), name="single_hyperbolic"),
+        "one triangular matrix [[2, 1], [0, 1/2]]; exponents exactly +/- log 2",
+    ),
+    "rotation_only": (
+        lambda: CocycleSpec([_rotation_matrix(2.0 * math.pi * (math.sqrt(2.0) - 1.0))], (1.0,), name="rotation_only"),
+        "one irrational rotation matrix; both exponents 0, "
+        "no projective contraction (rate verification refuses)",
+    ),
+}
+
+
 def cocycle_gallery(name: str) -> CocycleSpec:
     """Named cocycles used throughout the tests and the command line."""
-    builders = {
-        "diag_rot": lambda: CocycleSpec(
-            [np.diag([2.0, 0.5]), _rotation_matrix(math.pi / 4.0)],
-            (0.5, 0.5),
-            name="diag_rot",
-        ),
-        "single_hyperbolic": lambda: CocycleSpec(
-            [np.array([[2.0, 1.0], [0.0, 0.5]])], (1.0,), name="single_hyperbolic"
-        ),
-        "rotation_only": lambda: CocycleSpec(
-            [_rotation_matrix(2.0 * math.pi * (math.sqrt(2.0) - 1.0))],
-            (1.0,),
-            name="rotation_only",
-        ),
-    }
-    if name not in builders:
-        raise KeyError(f"unknown cocycle {name!r}; known ids: {sorted(builders)}")
-    return builders[name]()
+    if name not in COCYCLE_GALLERY:
+        raise KeyError(f"unknown cocycle {name!r}; known ids: {sorted(COCYCLE_GALLERY)}")
+    return COCYCLE_GALLERY[name][0]()
 
 
 def cocycle_gallery_ids() -> tuple[str, ...]:
-    return ("diag_rot", "single_hyperbolic", "rotation_only")
+    return tuple(COCYCLE_GALLERY)

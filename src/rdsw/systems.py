@@ -9,6 +9,7 @@ current point, so after n steps the point is f_{i_n} ( ... f_{i_1}(x) ... ).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,20 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 WORD_BUDGET = 1 << 24
+
+
+def _finite(name: str, value) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite real, got {v!r}")
+    return v
+
+
+def _finite_array(name: str, value) -> np.ndarray:
+    a = np.array(value, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
 class MapSpec:
@@ -90,8 +105,8 @@ class AffineMap(MapSpec):
     space = INTERVAL
 
     def __init__(self, a: float, b: float):
-        a = float(a)
-        b = float(b)
+        a = _finite("a", a)
+        b = _finite("b", b)
         if a == 0.0:
             raise ValueError("affine map needs a != 0")
         self.a = a
@@ -122,7 +137,7 @@ class Rotation(MapSpec):
     space = CIRCLE
 
     def __init__(self, c: float):
-        self.c = float(c)
+        self.c = _finite("c", c)
 
     def __call__(self, x):
         return (np.asarray(x, dtype=float) + self.c) % 1.0
@@ -158,14 +173,15 @@ class PerturbedRotation(MapSpec):
     space = CIRCLE
 
     def __init__(self, c: float, amp: float, harmonic: int = 1, phase: float = 0.0):
-        if not abs(amp) < 1.0:
+        self.c = _finite("c", c)
+        self.amp = _finite("amp", amp)
+        self.phase = _finite("phase", phase)
+        if not abs(self.amp) < 1.0:
             raise ValueError(f"perturbed rotation needs |amp| < 1, got {amp}")
-        if int(harmonic) != harmonic or harmonic < 1:
+        h = _finite("harmonic", harmonic)
+        if h != int(h) or h < 1:
             raise ValueError(f"harmonic must be a positive integer, got {harmonic}")
-        self.c = float(c)
-        self.amp = float(amp)
-        self.harmonic = int(harmonic)
-        self.phase = float(phase)
+        self.harmonic = int(h)
         self._w = _TWO_PI * self.harmonic
         self._k = self.amp / self._w
 
@@ -210,7 +226,7 @@ class MoebiusMap(MapSpec):
     space = CIRCLE
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=float).reshape(2, 2)
+        m = _finite_array("moebius matrix entries", matrix).reshape(2, 2)
         det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         if det <= 1e-12:
             raise ValueError(f"moebius matrix needs positive determinant, got {det}")
@@ -269,8 +285,8 @@ class TabulatedMap(MapSpec):
     def __init__(self, nodes, values, space: str = INTERVAL, node_derivs=None):
         from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
+        nodes = _finite_array("tabulated map nodes", nodes)
+        values = _finite_array("tabulated map values", values)
         if nodes.ndim != 1 or nodes.size < 3 or values.shape != nodes.shape:
             raise ValueError("tabulated map needs matching 1-D node/value tables, >= 3 entries")
         if np.any(np.diff(nodes) <= 0):
@@ -290,7 +306,7 @@ class TabulatedMap(MapSpec):
         else:
             xs, ys = nodes, values
         if node_derivs is not None:
-            ds = np.asarray(node_derivs, dtype=float)
+            ds = _finite_array("tabulated map node_derivs", node_derivs)
             if ds.shape != nodes.shape:
                 raise ValueError("node_derivs must match nodes")
             dss = np.append(ds, ds[0]) if space == CIRCLE else ds
@@ -361,14 +377,12 @@ class ProjectiveMap(MapSpec):
     has_derivative = False
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=float)
+        m = _finite_array("matrix entries", matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("projective map needs a square matrix")
         d = m.shape[0]
         if not 2 <= d <= 8:
             raise ValueError(f"matrix dimension must be in [2, 8], got {d}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
         if abs(np.linalg.det(m)) <= 1e-12:
             raise ValueError("projective map needs an invertible matrix")
         m.setflags(write=False)
@@ -388,25 +402,30 @@ class ProjectiveMap(MapSpec):
 
 
 _FAMILIES = {
-    "affine_interval": lambda p: AffineMap(p["a"], p["b"]),
-    "rotation": lambda p: Rotation(p["c"]),
-    "perturbed_rotation": lambda p: PerturbedRotation(
-        p["c"], p["amp"], p.get("harmonic", 1), p.get("phase", 0.0)
-    ),
-    "moebius_circle": lambda p: MoebiusMap(p["matrix"]),
-    "tabulated_monotone": lambda p: TabulatedMap(
-        p["nodes"], p["values"], p.get("space", INTERVAL), p.get("node_derivs")
-    ),
-    "projective": lambda p: ProjectiveMap(p["matrix"]),
+    cls.family: cls for cls in (AffineMap, Rotation, PerturbedRotation, MoebiusMap, TabulatedMap, ProjectiveMap)
 }
 
 
 def map_from_params(params: dict) -> MapSpec:
-    """Rebuild a map from its ``params()`` dictionary."""
+    """Rebuild a map from its ``params()`` dictionary.
+
+    The keys besides ``family`` are the family constructor's arguments: a
+    missing required one raises ``KeyError`` with its name, any other key
+    raises ``ValueError``.
+    """
     fam = params.get("family")
     if fam not in _FAMILIES:
         raise ValueError(f"unknown map family {fam!r}")
-    return _FAMILIES[fam](params)
+    cls = _FAMILIES[fam]
+    args = {k: v for k, v in params.items() if k != "family"}
+    keys = inspect.signature(cls).parameters
+    unknown = sorted(set(args) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}; allowed: {sorted(['family', *keys])}")
+    for key, param in keys.items():
+        if param.default is param.empty and key not in args:
+            raise KeyError(key)
+    return cls(**args)
 
 
 def _bisect_circle_inverse(lift, ts, iters: int = 64):

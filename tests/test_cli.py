@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import rdsw.cli
 from rdsw.cli import main
 
 
@@ -99,10 +102,10 @@ def test_inline_system_validation_surfaces(tmp_path, capsys):
     assert "probs must sum to 1" in err
 
 
-def _inline_binary(first_map: dict) -> dict:
+def _inline_binary(first_map: dict, **system_keys) -> dict:
     return {
         "command": "stationary",
-        "system": {"maps": [first_map, {"family": "affine_interval", "a": 0.5, "b": 0.5}], "probs": [0.5, 0.5]},
+        "system": {"maps": [first_map, {"family": "affine_interval", "a": 0.5, "b": 0.5}], "probs": [0.5, 0.5], **system_keys},
         "params": {"samples": 100},
     }
 
@@ -119,8 +122,42 @@ def _inline_binary(first_map: dict) -> dict:
             },
             "config error: cocycle.matrices[1]: expected a square matrix of reals",
         ),
+        (
+            _inline_binary({"family": "affine_interval", "a": math.nan, "b": 0.0}),
+            "config error: system.maps[0]: a must be a finite real, got nan",
+        ),
+        (
+            _inline_binary({"family": "affine_interval", "a": 0.5, "b": 0.0, "zzz": 1}),
+            "config error: system.maps[0]: unknown key(s) 'zzz'",
+        ),
+        (
+            _inline_binary({"family": "affine_interval", "a": 0.5, "b": 0.0}, space="interval"),
+            "config error: system: unknown key(s) 'space'",
+        ),
+        (
+            {"command": "cocycle", "cocycle": {"matrices": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], "probs": [1.0]}},
+            "config error: cocycle.matrices[0]: must be square",
+        ),
+        (
+            {"command": "cocycle", "cocycle": {"matrices": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]]], "probs": [0.5, 0.5]}},
+            "config error: cocycle.matrices[1]: must be invertible",
+        ),
+        (
+            {"command": "verify", "threads": "x", "case": "sync-rate-battery"},
+            "config error: threads: expected integer, got 'x'",
+        ),
     ],
-    ids=["missing-key", "list-for-real", "ragged-matrix"],
+    ids=[
+        "missing-key",
+        "list-for-real",
+        "ragged-matrix",
+        "nan-map-param",
+        "unknown-map-key",
+        "system-space",
+        "non-square-matrix",
+        "singular-matrix",
+        "verify-threads",
+    ],
 )
 def test_inline_construction_errors_name_the_field(tmp_path, capsys, payload, expected):
     cfg = _write_config(tmp_path, "c.json", payload)
@@ -128,6 +165,26 @@ def test_inline_construction_errors_name_the_field(tmp_path, capsys, payload, ex
     err = capsys.readouterr().err
     print(err)
     assert expected in err and len(err.strip().splitlines()) == 1
+
+
+def test_output_must_be_a_string(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path, "o.json", {"system": "binary_affine", "output": 5, "params": {"samples": 100}})
+    assert main(["stationary", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    print(err)
+    assert err == "config error: output: expected string, got 5\n"
+    assert not (tmp_path / "rdsw_out").exists()
+
+
+def test_lyapunov_rejects_circle_distortion_before_computing(tmp_path, capsys, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("estimate_gamma ran on a config that was going to be rejected")
+
+    monkeypatch.setattr(rdsw.cli, "estimate_gamma", not_called)
+    cfg = _write_config(tmp_path, "l.json", {"system": "anton", "params": {"distortion": True}})
+    assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "params.y: required" in capsys.readouterr().err
 
 
 def test_guard_errors_exit_4(tmp_path, capsys):
@@ -235,3 +292,70 @@ def test_ulam_export(tmp_path):
     assert "probe_decay_rate" in summary[0] and "gap" in summary[0]
     eigen = (out_dir / "eigen.csv").read_text().splitlines()
     assert len(eigen) == 65
+
+
+def _mostly(valid, other):
+    """``valid`` nine times in ten, ``other`` otherwise."""
+    return st.integers(0, 9).flatmap(lambda k: valid if k else other)
+
+
+_REAL = _mostly(st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+_ANY = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3) | _REAL
+_TABLE = st.lists(_REAL, min_size=3, max_size=5)
+_MAP_FIELDS = {
+    "affine_interval": {"a": _REAL, "b": _REAL},
+    "rotation": {"c": _REAL},
+    "perturbed_rotation": {"c": _REAL, "amp": _REAL, "harmonic": st.integers(-1, 3) | _REAL, "phase": _REAL},
+    "moebius_circle": {"matrix": st.lists(st.lists(_REAL, min_size=2, max_size=2), min_size=2, max_size=2)},
+    "tabulated_monotone": {
+        "nodes": _TABLE,
+        "values": _TABLE,
+        "space": st.sampled_from(["interval", "circle", "torus"]),
+        "node_derivs": st.none() | _TABLE,
+    },
+}
+_TOP_FIELDS = {  # valid values, then wrong ones
+    "command": (st.just("stationary"), _ANY),
+    "seed": (st.integers(0, (1 << 64) - 1), st.integers(-2, 1 << 65) | _ANY),
+    "threads": (st.integers(1, 4), _ANY),
+    "format": (st.sampled_from(["csv", "json"]), st.just("xml") | _ANY),
+    "output": (st.text(max_size=3), _ANY),
+}
+
+
+@st.composite
+def _fuzzed_map(draw):
+    family = draw(st.sampled_from(sorted(_MAP_FIELDS)))
+    m = {"family": family}
+    for key, values in _MAP_FIELDS[family].items():
+        if draw(_mostly(st.just(True), st.just(False))):
+            m[key] = draw(values)
+    if not draw(_mostly(st.just(True), st.just(False))):
+        m["zzz"] = draw(_ANY)
+    return m
+
+
+@st.composite
+def _fuzzed_config(draw):
+    maps = draw(st.lists(_fuzzed_map(), min_size=1, max_size=3))
+    probs = draw(_mostly(st.just([1.0 / len(maps)] * len(maps)), st.lists(_REAL, max_size=3)))
+    config = {"system": {"maps": maps, "probs": probs}, "params": {"samples": 100, "burn_in": 10}}
+    for key, (valid, wrong) in _TOP_FIELDS.items():
+        value = draw(_mostly(st.sampled_from(["absent", "valid"]), st.just("wrong")))
+        if value != "absent":
+            config[key] = draw(valid if value == "valid" else wrong)
+    return config
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_fuzzed_config())
+def test_config_fuzz_exits_cleanly(tmp_path, capsys, config):
+    """Any config exits 0, 2 or 4 without a traceback; a refusal is one stderr line."""
+    cfg = _write_config(tmp_path, "fuzz.json", config)
+    code = main(["stationary", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 4), err
+    if code:
+        assert len(err.strip().splitlines()) == 1, err
+    else:  # strict JSON: NaN and infinities would reach parse_constant
+        json.loads((tmp_path / "out" / "manifest.json").read_text(), parse_constant=pytest.fail)

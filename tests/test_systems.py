@@ -112,6 +112,28 @@ def test_map_from_params_round_trip():
         assert np.array_equal(m0(x), m1(x))
     with pytest.raises(ValueError, match="unknown map family"):
         map_from_params({"family": "teleport"})
+    with pytest.raises(ValueError, match="unknown key"):
+        map_from_params({**sys.maps[0].params(), "space": "interval"})
+    with pytest.raises(KeyError, match="b"):
+        map_from_params({"family": "affine_interval", "a": 0.5})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AffineMap(np.nan, 0.0),
+        lambda: Rotation(np.inf),
+        lambda: PerturbedRotation(0.1, 0.2, phase=np.nan),
+        lambda: PerturbedRotation(0.1, 0.2, harmonic=np.inf),
+        lambda: MoebiusMap([[np.nan, 0.0], [0.0, 1.0]]),
+        lambda: TabulatedMap([0.0, np.nan, 1.0], [0.0, 0.5, 1.0]),
+        lambda: TabulatedMap([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], node_derivs=[1.0, -np.inf, 1.0]),
+    ],
+    ids=["affine", "rotation", "perturbed-phase", "perturbed-harmonic", "moebius", "tabulated-nodes", "tabulated-derivs"],
+)
+def test_map_constructors_reject_non_finite_reals(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 def test_projective_family_known_without_cocycles_import():
