@@ -14,7 +14,6 @@ from .geometry import (
     INTERVAL,
     PROJECTIVE,
     MetricKind,
-    ProjectivePoint,
     circle_distance,
     interval_distance,
     projective_distance,
@@ -37,7 +36,6 @@ __all__ = [
     "CIRCLE",
     "INTERVAL",
     "PROJECTIVE",
-    "ProjectivePoint",
     "MetricKind",
     "circle_distance",
     "interval_distance",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .synchronization import local_contraction_probe
-from .systems import ProjectiveMap, SystemSpec, WordStream
+from .systems import ProjectiveMap, SystemSpec, WordStream, _resolve_word, _square_matrix
 from .util import OverflowGuardError, RefusalError
 
 __all__ = [
@@ -49,21 +49,9 @@ class CocycleSpec:
     def __init__(self, matrices, probs, name: str = ""):
         mats = []
         for i, a in enumerate(matrices):
-            try:
-                m = np.array(a, dtype=float)
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"matrices[{i}]: expected a square matrix of reals") from e
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"matrices[{i}]: must be square, got shape {m.shape}")
-            if not 2 <= m.shape[0] <= 8 or (mats and m.shape != mats[0].shape):
-                raise ValueError(f"matrices[{i}]: all matrices must share one dimension in [2, 8], got {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"matrices[{i}]: entries must be finite")
-            with np.errstate(over="ignore"):
-                det = abs(float(np.linalg.det(m)))
-            if det <= 1e-12:
-                raise ValueError(f"matrices[{i}]: must be invertible, got |det| = {det!r}")
-            m.setflags(write=False)
+            m = _square_matrix(f"matrices[{i}]", a)
+            if mats and m.shape != mats[0].shape:
+                raise ValueError(f"matrices[{i}]: all matrices must share one dimension, got {m.shape}")
             mats.append(m)
         if not mats:
             raise ValueError("matrices: need at least one matrix")
@@ -78,7 +66,7 @@ class CocycleSpec:
         self.probs = p
         self.name = name
         self.dim = d
-        self.n_mats = len(mats)
+        self.n_maps = len(mats)
 
     def word_stream(self, seed: int, stream_id: int = 0) -> WordStream:
         return WordStream(seed, stream_id, tuple(float(q) for q in self.probs))
@@ -147,15 +135,7 @@ def product_stream(cocycle: CocycleSpec, word, n: int, block: int = QR_BLOCK) ->
     """
     if n < 1:
         raise ValueError("product_stream needs n >= 1")
-    if isinstance(word, WordStream):
-        symbols = word.draw(n)
-    else:
-        symbols = np.asarray(word, dtype=np.int64).reshape(-1)
-        if symbols.size < n:
-            raise ValueError(f"word of length {symbols.size} cannot drive {n} steps")
-        if symbols.min() < 0 or symbols.max() >= cocycle.n_mats:
-            raise ValueError("word contains out-of-range symbols")
-        symbols = symbols[:n]
+    symbols = _resolve_word(cocycle, word, n)
     d = cocycle.dim
     b = np.eye(d)
     logs = np.zeros(d)

@@ -85,62 +85,52 @@ def _moebius_pair() -> SystemSpec:
     return SystemSpec(maps, (0.5, 0.5), name="moebius_pair")
 
 
-_BUILDERS = {
-    "binary_affine": _binary_affine,
-    "slope_pair": _slope_pair,
-    "anton": _anton,
-    "two_rotations": _two_rotations,
-    "moebius_pair": _moebius_pair,
+# id -> (builder, construction, known facts); backs gallery and the CLI listing
+_GALLERY = {
+    "binary_affine": (
+        _binary_affine,
+        "{x/2, (x+1)/2} on [0,1], p = (1/2, 1/2)",
+        "stationary = Lebesgue; sync rate = -log 2; gamma = -log 2; "
+        "sigma2(coordinate) = 1/4; Ulam smooth-probe decay rate 1/2",
+    ),
+    "slope_pair": (
+        _slope_pair,
+        "{x/2, x/4 + 3/4} on [0,1], p = (1/2, 1/2)",
+        "gamma = -(3/2) log 2; binomial large-deviation probabilities exactly enumerable",
+    ),
+    "anton": (
+        _anton,
+        "two sin(4 pi x) perturbations of identity (amp 0.06) plus the half rotation, p = (1/3, 1/3, 1/3)",
+        "non-proximal, hence not synchronizing: arcs [1/4,3/8] and "
+        "[3/4,7/8] are invariant for the first two maps and swapped by the "
+        "third, so pairs started across them never get closer than 3/8; "
+        "local contraction still holds around every point",
+    ),
+    "two_rotations": (
+        _two_rotations,
+        "rotations by sqrt(2)-1 and sqrt(3)-1, p = (1/2, 1/2)",
+        "isometric: pair distances constant, sync rate exactly 0; stationary = Lebesgue",
+    ),
+    "moebius_pair": (
+        _moebius_pair,
+        "hyperbolic Moebius map diag(1.3, 1/1.3) and its conjugate by a pi/5 rotation, p = (1/2, 1/2)",
+        "smooth synchronizing pair; distinct axes so no common invariant measure",
+    ),
 }
 
 
 def gallery(name: str) -> SystemSpec:
     """Build a named example system."""
-    if name not in _BUILDERS:
-        known = ", ".join(sorted(_BUILDERS))
+    if name not in _GALLERY:
+        known = ", ".join(sorted(_GALLERY))
         raise KeyError(f"unknown gallery id {name!r}; known ids: {known}")
-    return _BUILDERS[name]()
+    return _GALLERY[name][0]()
 
 
 def gallery_ids() -> list[str]:
-    return sorted(_BUILDERS)
+    return sorted(_GALLERY)
 
 
 def gallery_facts() -> list[dict]:
     """Identifier, construction summary, and known exact facts per entry."""
-    return [
-        {
-            "id": "binary_affine",
-            "system": "{x/2, (x+1)/2} on [0,1], p = (1/2, 1/2)",
-            "facts": "stationary = Lebesgue; sync rate = -log 2; gamma = -log 2; "
-            "sigma2(coordinate) = 1/4; Ulam smooth-probe decay rate 1/2",
-        },
-        {
-            "id": "slope_pair",
-            "system": "{x/2, x/4 + 3/4} on [0,1], p = (1/2, 1/2)",
-            "facts": "gamma = -(3/2) log 2; binomial large-deviation probabilities "
-            "exactly enumerable",
-        },
-        {
-            "id": "anton",
-            "system": "two sin(4 pi x) perturbations of identity (amp 0.06) "
-            "plus the half rotation, p = (1/3, 1/3, 1/3)",
-            "facts": "non-proximal, hence not synchronizing: arcs [1/4,3/8] and "
-            "[3/4,7/8] are invariant for the first two maps and swapped by the "
-            "third, so pairs started across them never get closer than 3/8; "
-            "local contraction still holds around every point",
-        },
-        {
-            "id": "two_rotations",
-            "system": "rotations by sqrt(2)-1 and sqrt(3)-1, p = (1/2, 1/2)",
-            "facts": "isometric: pair distances constant, sync rate exactly 0; "
-            "stationary = Lebesgue",
-        },
-        {
-            "id": "moebius_pair",
-            "system": "hyperbolic Moebius map diag(1.3, 1/1.3) and its conjugate "
-            "by a pi/5 rotation, p = (1/2, 1/2)",
-            "facts": "smooth synchronizing pair; distinct axes so no common "
-            "invariant measure",
-        },
-    ]
+    return [{"id": gid, "system": system, "facts": facts} for gid, (_, system, facts) in _GALLERY.items()]

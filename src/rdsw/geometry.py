@@ -15,9 +15,10 @@ __all__ = [
     "CIRCLE",
     "INTERVAL",
     "PROJECTIVE",
-    "ProjectivePoint",
     "MetricKind",
     "reduce_circle",
+    "coordinate_grid",
+    "signed_circle_difference",
     "coordinate_distance",
     "circle_distance",
     "interval_distance",
@@ -42,6 +43,18 @@ def reduce_circle(x):
     contract: tiny negative inputs round up to exactly 1.0.
     """
     return (x % 1.0) % 1.0
+
+
+def coordinate_grid(space: str, k: int) -> np.ndarray:
+    """k equispaced coordinates of a 1-D space: j/k on the circle, where 1
+    would repeat 0, and both endpoints of the interval."""
+    return np.arange(k) / k if space == CIRCLE else np.linspace(0.0, 1.0, k)
+
+
+def signed_circle_difference(d):
+    """A difference of circle coordinates folded into [-1/2, 1/2): the signed
+    shortest step on R/Z."""
+    return (d + 0.5) % 1.0 - 0.5
 
 
 def coordinate_distance(space: str, a, b):
@@ -72,9 +85,7 @@ def projective_distance(x, y):
     Equals |x1*y2 - x2*y1| in dimension 2, computed as sqrt(1 - <x,y>^2) in
     any dimension, which is antipode-invariant as required.
     """
-    vx = x.vec if isinstance(x, ProjectivePoint) else np.asarray(x, dtype=float)
-    vy = y.vec if isinstance(y, ProjectivePoint) else np.asarray(y, dtype=float)
-    g = float(np.dot(vx, vy))
+    g = float(np.dot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
     return float(np.sqrt(max(0.0, 1.0 - g * g)))
 
 
@@ -102,45 +113,6 @@ def space_diameter(space: str) -> float:
     if space in (INTERVAL, PROJECTIVE):
         return 1.0
     raise ValueError(f"unknown space {space!r}")
-
-
-class ProjectivePoint:
-    """A line through the origin in R^d, 2 <= d <= 8.
-
-    Stored as a unit vector with a sign convention (first component of
-    magnitude above 1e-12 is positive) so that v and -v compare equal.
-    """
-
-    __slots__ = ("vec",)
-
-    def __init__(self, vec):
-        v = np.array(vec, dtype=float).reshape(-1)
-        if not 2 <= v.size <= 8:
-            raise ValueError(f"projective dimension must be 2..8, got {v.size}")
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-12:
-            raise ValueError("cannot projectivize the zero vector")
-        v = v / norm
-        for c in v:
-            if abs(c) > 1e-12:
-                if c < 0:
-                    v = -v
-                break
-        v.setflags(write=False)
-        object.__setattr__(self, "vec", v)
-
-    @property
-    def dim(self) -> int:
-        return int(self.vec.size)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjectivePoint) and np.array_equal(self.vec, other.vec)
-
-    def __hash__(self) -> int:
-        return hash(self.vec.tobytes())
-
-    def __repr__(self) -> str:
-        return f"ProjectivePoint({self.vec.tolist()})"
 
 
 @dataclass(frozen=True)

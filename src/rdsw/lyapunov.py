@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CIRCLE, coordinate_distance
+from .geometry import CIRCLE, coordinate_distance, coordinate_grid
 from .measures import estimate_stationary
 from .systems import SystemSpec, ensemble_apply, ensemble_apply_many, word_matrix, word_weights
 from .util import RefusalError, fmt, linear_fit, wilson_interval
@@ -429,7 +429,7 @@ def _omega_grid(system: SystemSpec, deltas: np.ndarray, k: int = 4096) -> np.nda
     from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
     circle = system.space == CIRCLE
-    grid = np.arange(k) / k if circle else np.linspace(0.0, 1.0, k)
+    grid = coordinate_grid(system.space, k)
     mode = "wrap" if circle else "nearest"
     out = np.zeros((system.n_maps, deltas.size))
     for i, m in enumerate(system.maps):

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CIRCLE, INTERVAL, PROJECTIVE, base_distance, coordinate_distance
+from .geometry import (
+    CIRCLE,
+    INTERVAL,
+    PROJECTIVE,
+    base_distance,
+    coordinate_distance,
+    coordinate_grid,
+    signed_circle_difference,
+)
 from .systems import SystemSpec, WordStream, iterate
 from .util import RefusalError, parallel_map, weighted_median
 
@@ -210,14 +218,11 @@ class AtomDiagnostic:
 
 
 def _injectivity_probe(system: SystemSpec, points: int = 1024):
-    g = np.linspace(0.0, 1.0, points) if system.space == INTERVAL else np.arange(points) / points
+    g = coordinate_grid(system.space, points)
     for m in system.maps:
-        y = np.asarray(m(g), dtype=float)
-        if system.space == INTERVAL:
-            dy = np.diff(y)
-        else:
-            dy = np.diff(y)
-            dy = (dy + 0.5) % 1.0 - 0.5
+        dy = np.diff(np.asarray(m(g), dtype=float))
+        if system.space == CIRCLE:
+            dy = signed_circle_difference(dy)
         if not (np.all(dy >= -1e-9) or np.all(dy <= 1e-9)):
             raise RefusalError(
                 f"atom diagnostic requires injective maps; {m!r} is not monotone "
@@ -227,13 +232,13 @@ def _injectivity_probe(system: SystemSpec, points: int = 1024):
 
 def _common_fixed_points(system: SystemSpec, points: int = 4096) -> tuple:
     circle = system.space == CIRCLE
-    g = np.arange(points) / points if circle else np.linspace(0.0, 1.0, points)
+    g = coordinate_grid(system.space, points)
     f0 = system.maps[0]
 
     def disp(x):
         d = np.asarray(f0(x), dtype=float) - np.asarray(x, dtype=float)
         if circle:
-            d = (d + 0.5) % 1.0 - 0.5
+            d = signed_circle_difference(d)
         return d
 
     vals = disp(g)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import CIRCLE, INTERVAL, PROJECTIVE
+from .geometry import CIRCLE, PROJECTIVE, coordinate_grid, signed_circle_difference
 from .systems import SystemSpec, TabulatedMap, ensemble_apply, word_matrix, word_weights
 from .util import RefusalError, fmt
 
@@ -432,10 +432,7 @@ def holder_norm(
         raise ValueError("alpha must lie in (0, 1]")
     if grid_k < 2 or grid_k > 4096:
         raise ValueError("grid_k must lie in [2, 4096]")
-    if space == CIRCLE:
-        xs = np.arange(grid_k) / grid_k
-    else:
-        xs = np.linspace(0.0, 1.0, grid_k)
+    xs = coordinate_grid(space, grid_k)
     sup = 0.0
     semi = 0.0
     for jsym in range(n_symbols):
@@ -481,7 +478,7 @@ def bilipschitz_bound(system: SystemSpec, grid_k: int = 4096):
     if system.space == PROJECTIVE:
         raise RefusalError("bi-Lipschitz grid bound is defined for 1-D phase spaces")
     circle = system.space == CIRCLE
-    xs = np.arange(grid_k) / grid_k if circle else np.linspace(0.0, 1.0, grid_k)
+    xs = coordinate_grid(system.space, grid_k)
     best = 1.0
     secant = False
     for m in system.maps:
@@ -491,7 +488,7 @@ def bilipschitz_bound(system: SystemSpec, grid_k: int = 4096):
             secant = True
             ys = np.asarray(m(xs), dtype=float)
             if circle:
-                num = np.abs((np.roll(ys, -1) - ys + 0.5) % 1.0 - 0.5)
+                num = np.abs(signed_circle_difference(np.roll(ys, -1) - ys))
                 den = 1.0 / grid_k
             else:
                 num = np.abs(np.diff(ys))

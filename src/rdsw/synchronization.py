@@ -15,7 +15,6 @@ import numpy as np
 from .geometry import (
     CIRCLE,
     PROJECTIVE,
-    ProjectivePoint,
     base_distance,
     coordinate_distance,
     projective_distance,
@@ -262,7 +261,7 @@ def local_contraction_probe(
 
 
 def _projective_ball(system: SystemSpec, x, radius: float, count: int) -> np.ndarray:
-    center = _as_unit_vector(x if not isinstance(x, ProjectivePoint) else x.vec)
+    center = _as_unit_vector(x)
     d = center.size
     phi_max = math.asin(min(1.0, radius))
     ts = np.linspace(-1.0, 1.0, count)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CIRCLE, INTERVAL, PROJECTIVE, ProjectivePoint
+from .geometry import CIRCLE, INTERVAL, PROJECTIVE, coordinate_grid
 from .util import BudgetExceededError
 
 __all__ = [
@@ -38,28 +39,62 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 WORD_BUDGET = 1 << 24
+_REALS = (int, float, np.integer, np.floating)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_finite_real(v) -> bool:
+    """A Python or numpy int or float, not a bool, that is a finite float."""
+    return isinstance(v, _REALS) and not isinstance(v, bool) and -_FLOAT_MAX <= v <= _FLOAT_MAX
 
 
 def _finite(name: str, value) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"{name} must be a finite real, got {v!r}")
-    return v
+    if not _is_finite_real(value):
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+    return float(value)
 
 
-def _finite_array(name: str, value) -> np.ndarray:
-    a = np.array(value, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    return a
+def _finite_array(name: str, value, expected: str = "finite reals") -> np.ndarray:
+    """``value`` as a float array; every entry must pass ``_is_finite_real``."""
+    try:
+        entries = np.asarray(value, dtype=object)
+        ok = all(map(_is_finite_real, entries.flat))
+    except ValueError:  # arrays of unequal shapes numpy cannot nest
+        ok = False
+    if not ok:
+        raise ValueError(f"{name}: expected {expected}")
+    return entries.astype(float)
+
+
+def _square_matrix(name: str, value) -> np.ndarray:
+    """A read-only invertible square matrix of finite reals, of dimension 2 to 8."""
+    m = _finite_array(name, value, "a square matrix of reals")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name}: must be square, got shape {m.shape}")
+    if not 2 <= m.shape[0] <= 8:
+        raise ValueError(f"{name}: dimension must be in [2, 8], got {m.shape[0]}")
+    with np.errstate(over="ignore"):
+        det = abs(float(np.linalg.det(m)))
+    if det <= 1e-12:
+        raise ValueError(f"{name}: must be invertible, got |det| = {det!r}")
+    m.setflags(write=False)
+    return m
 
 
 class MapSpec:
     """Base class for the supported map families.
 
-    Instances are immutable value objects. ``__call__``/``deriv`` accept floats
-    or arrays; ``scalar_fn`` returns a plain-float closure for the scalar orbit
-    loop in ``iterate``. ``deriv`` is the signed derivative of the lift.
+    Instances are immutable value objects. The constructor's signature is the
+    family's parameter list: each argument is kept under its own name, and
+    ``params()``, ``map_from_params``, ``repr`` and equality all read it.
+
+    ``__call__``/``deriv`` accept floats or arrays and are the canonical
+    evaluator: ensemble statistics run through them (``ensemble_apply``).
+    ``scalar_fn`` returns a plain-float closure that ``iterate`` uses for single
+    orbits because it is several times faster per call. The two paths agree
+    bit for bit except on Moebius maps, whose ``math`` and numpy trigonometry
+    may round differently: at most 1 ulp apart per step. ``deriv`` is the
+    signed derivative of the lift.
     """
 
     family = "abstract"
@@ -73,7 +108,11 @@ class MapSpec:
         raise NotImplementedError
 
     def params(self) -> dict:
-        raise NotImplementedError
+        out = {"family": self.family}
+        for name in inspect.signature(type(self)).parameters:
+            v = getattr(self, name)
+            out[name] = v.tolist() if isinstance(v, np.ndarray) else v
+        return out
 
     def scalar_fn(self):
         return self.__call__
@@ -126,9 +165,6 @@ class AffineMap(MapSpec):
         ts = np.asarray(ts, dtype=float)
         return np.clip((ts - self.b) / self.a, 0.0, 1.0)
 
-    def params(self) -> dict:
-        return {"family": self.family, "a": self.a, "b": self.b}
-
 
 class Rotation(MapSpec):
     """x -> x + c mod 1 on the circle."""
@@ -149,14 +185,8 @@ class Rotation(MapSpec):
         c = self.c
         return lambda x: (x + c) % 1.0
 
-    def lift(self, x):
-        return np.asarray(x, dtype=float) + self.c
-
     def inverse_grid(self, ts):
         return (np.asarray(ts, dtype=float) - self.c) % 1.0
-
-    def params(self) -> dict:
-        return {"family": self.family, "c": self.c}
 
 
 class PerturbedRotation(MapSpec):
@@ -186,8 +216,7 @@ class PerturbedRotation(MapSpec):
         self._k = self.amp / self._w
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x + self.c + self._k * np.sin(self._w * x + self.phase)) % 1.0
+        return self.lift(x) % 1.0
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
@@ -204,15 +233,6 @@ class PerturbedRotation(MapSpec):
     def inverse_grid(self, ts):
         return _bisect_circle_inverse(self.lift, np.asarray(ts, dtype=float))
 
-    def params(self) -> dict:
-        return {
-            "family": self.family,
-            "c": self.c,
-            "amp": self.amp,
-            "harmonic": self.harmonic,
-            "phase": self.phase,
-        }
-
 
 class MoebiusMap(MapSpec):
     """Circle map induced by a 2x2 real matrix with positive determinant.
@@ -226,7 +246,7 @@ class MoebiusMap(MapSpec):
     space = CIRCLE
 
     def __init__(self, matrix):
-        m = _finite_array("moebius matrix entries", matrix).reshape(2, 2)
+        m = _finite_array("moebius matrix", matrix).reshape(2, 2)
         det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         if det <= 1e-12:
             raise ValueError(f"moebius matrix needs positive determinant, got {det}")
@@ -234,20 +254,19 @@ class MoebiusMap(MapSpec):
         self.matrix = m
         self.det = det
 
-    def __call__(self, x):
+    def _image(self, x):
+        """(u, v) = A (cos pi x, sin pi x)."""
         th = math.pi * np.asarray(x, dtype=float)
         c, s = np.cos(th), np.sin(th)
         m = self.matrix
-        u = m[0, 0] * c + m[0, 1] * s
-        v = m[1, 0] * c + m[1, 1] * s
+        return m[0, 0] * c + m[0, 1] * s, m[1, 0] * c + m[1, 1] * s
+
+    def __call__(self, x):
+        u, v = self._image(x)
         return (np.arctan2(v, u) / math.pi) % 1.0
 
     def deriv(self, x):
-        th = math.pi * np.asarray(x, dtype=float)
-        c, s = np.cos(th), np.sin(th)
-        m = self.matrix
-        u = m[0, 0] * c + m[0, 1] * s
-        v = m[1, 0] * c + m[1, 1] * s
+        u, v = self._image(x)
         return self.det / (u * u + v * v)
 
     def scalar_fn(self):
@@ -265,9 +284,6 @@ class MoebiusMap(MapSpec):
         m = self.matrix
         adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
         return MoebiusMap(adj)(ts)
-
-    def params(self) -> dict:
-        return {"family": self.family, "matrix": self.matrix.tolist()}
 
 
 class TabulatedMap(MapSpec):
@@ -306,16 +322,16 @@ class TabulatedMap(MapSpec):
         else:
             xs, ys = nodes, values
         if node_derivs is not None:
-            ds = _finite_array("tabulated map node_derivs", node_derivs)
-            if ds.shape != nodes.shape:
+            node_derivs = _finite_array("tabulated map node_derivs", node_derivs)
+            if node_derivs.shape != nodes.shape:
                 raise ValueError("node_derivs must match nodes")
-            dss = np.append(ds, ds[0]) if space == CIRCLE else ds
-            self._spline = CubicHermiteSpline(xs, ys, dss)
+            ds = np.append(node_derivs, node_derivs[0]) if space == CIRCLE else node_derivs
+            self._spline = CubicHermiteSpline(xs, ys, ds)
         else:
             self._spline = PchipInterpolator(xs, ys)
+        self.node_derivs = node_derivs
         self._dspline = self._spline.derivative()
         self._x0 = float(xs[0])
-        self._node_derivs = None if node_derivs is None else np.asarray(node_derivs, float)
 
     def _wrap(self, x):
         x = np.asarray(x, dtype=float)
@@ -350,18 +366,7 @@ class TabulatedMap(MapSpec):
         ts = np.asarray(ts, dtype=float)
         if self.space == CIRCLE:
             return _bisect_circle_inverse(self.lift, ts)
-        lo, hi = float(self._spline(self.nodes[0])), float(self._spline(self.nodes[-1]))
-        tc = np.clip(ts, min(lo, hi), max(lo, hi))
-        return _bisect_interval_inverse(self._spline, tc, float(self.nodes[0]), float(self.nodes[-1]))
-
-    def params(self) -> dict:
-        return {
-            "family": self.family,
-            "space": self.space,
-            "nodes": self.nodes.tolist(),
-            "values": self.values.tolist(),
-            "node_derivs": None if self._node_derivs is None else self._node_derivs.tolist(),
-        }
+        return _bisect_interval_inverse(self._spline, ts, float(self.nodes[0]), float(self.nodes[-1]))
 
 
 class ProjectiveMap(MapSpec):
@@ -377,17 +382,8 @@ class ProjectiveMap(MapSpec):
     has_derivative = False
 
     def __init__(self, matrix):
-        m = _finite_array("matrix entries", matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("projective map needs a square matrix")
-        d = m.shape[0]
-        if not 2 <= d <= 8:
-            raise ValueError(f"matrix dimension must be in [2, 8], got {d}")
-        if abs(np.linalg.det(m)) <= 1e-12:
-            raise ValueError("projective map needs an invertible matrix")
-        m.setflags(write=False)
-        self.matrix = m
-        self.dim = d
+        self.matrix = _square_matrix("matrix", matrix)
+        self.dim = self.matrix.shape[0]
 
     def __call__(self, x):
         v = np.asarray(x, dtype=float)
@@ -396,9 +392,6 @@ class ProjectiveMap(MapSpec):
             return w / np.linalg.norm(w)
         w = v @ self.matrix.T
         return w / np.linalg.norm(w, axis=-1, keepdims=True)
-
-    def params(self) -> dict:
-        return {"family": self.family, "matrix": self.matrix.tolist()}
 
 
 _FAMILIES = {
@@ -428,36 +421,29 @@ def map_from_params(params: dict) -> MapSpec:
     return cls(**args)
 
 
-def _bisect_circle_inverse(lift, ts, iters: int = 64):
-    ts = np.asarray(ts, dtype=float) % 1.0
-    l0 = float(lift(np.array(0.0)))
-    m = np.ceil(l0 - ts)
-    target = ts + m
-    target = np.where(target < l0, target + 1.0, target)
-    target = np.where(target >= l0 + 1.0, target - 1.0, target)
-    lo = np.zeros_like(ts)
-    hi = np.ones_like(ts)
+def _bisect(f, target, lo, hi, iters: int = 64):
+    """Elementwise bisection for an increasing f: f(x) = target on [lo, hi]."""
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        below = lift(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return (0.5 * (lo + hi)) % 1.0
-
-
-def _bisect_interval_inverse(f, ts, a: float, b: float, iters: int = 64):
-    ts = np.asarray(ts, dtype=float)
-    fa, fb = float(f(a)), float(f(b))
-    increasing = fb >= fa
-    lo = np.full_like(ts, a)
-    hi = np.full_like(ts, b)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        below = (val < ts) if increasing else (val > ts)
+        below = f(mid) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _bisect_circle_inverse(lift, ts):
+    ts = np.asarray(ts, dtype=float) % 1.0
+    l0 = float(lift(np.array(0.0)))
+    target = ts + np.ceil(l0 - ts)
+    target = np.where(target < l0, target + 1.0, target)
+    target = np.where(target >= l0 + 1.0, target - 1.0, target)
+    return _bisect(lift, target, np.zeros_like(ts), np.ones_like(ts)) % 1.0
+
+
+def _bisect_interval_inverse(f, ts, a: float, b: float):
+    """Preimages of ts under an increasing f on [a, b]; targets outside the range clamp to an endpoint."""
+    tc = np.clip(ts, float(f(a)), float(f(b)))
+    return _bisect(f, tc, np.full_like(tc, a), np.full_like(tc, b))
 
 
 class SystemSpec:
@@ -496,7 +482,7 @@ class SystemSpec:
         return len(self.maps)
 
     def _grid_check(self, points: int = 2048):
-        g = np.linspace(0.0, 1.0, points) if self.space == INTERVAL else np.arange(points) / points
+        g = coordinate_grid(self.space, points)
         for m in self.maps:
             y = np.asarray(m(g), dtype=float)
             if self.space == INTERVAL and (y.min() < -1e-9 or y.max() > 1.0 + 1e-9):
@@ -576,7 +562,9 @@ class WordStream:
         return self._rng().random(int(n))
 
 
-def _resolve_word(system: SystemSpec, word, n: int) -> np.ndarray:
+def _resolve_word(system, word, n: int) -> np.ndarray:
+    """The first n symbols of a WordStream, or of an explicit word checked
+    against ``system.n_maps`` (a SystemSpec or a CocycleSpec)."""
     if isinstance(word, WordStream):
         return word.draw(n)
     symbols = np.asarray(word, dtype=np.int64).reshape(-1)
@@ -615,8 +603,6 @@ def iterate(system: SystemSpec, x0, word, n: int) -> np.ndarray:
 
 
 def _as_unit_vector(x0) -> np.ndarray:
-    if isinstance(x0, ProjectivePoint):
-        return np.array(x0.vec)
     v = np.asarray(x0, dtype=float).reshape(-1)
     nrm = float(np.linalg.norm(v))
     if nrm < 1e-12:

@@ -146,6 +146,18 @@ def _inline_binary(first_map: dict, **system_keys) -> dict:
             {"command": "verify", "threads": "x", "case": "sync-rate-battery"},
             "config error: threads: expected integer, got 'x'",
         ),
+        (
+            _inline_binary({"family": "affine_interval", "a": "0.5", "b": 0.0}),
+            "config error: system.maps[0]: a must be a finite real, got '0.5'",
+        ),
+        (
+            _inline_binary({"family": "affine_interval", "a": 0.5, "b": True}),
+            "config error: system.maps[0]: b must be a finite real, got True",
+        ),
+        (
+            {"command": "cocycle", "cocycle": {"matrices": [[["2", 0.0], [0.0, "0.5"]]], "probs": [1.0]}},
+            "config error: cocycle.matrices[0]: expected a square matrix of reals",
+        ),
     ],
     ids=[
         "missing-key",
@@ -157,6 +169,9 @@ def _inline_binary(first_map: dict, **system_keys) -> dict:
         "non-square-matrix",
         "singular-matrix",
         "verify-threads",
+        "string-real",
+        "bool-real",
+        "string-matrix-entry",
     ],
 )
 def test_inline_construction_errors_name_the_field(tmp_path, capsys, payload, expected):

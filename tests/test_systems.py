@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 import rdsw
-from rdsw.geometry import CIRCLE, INTERVAL
+from rdsw.gallery import gallery, gallery_ids
+from rdsw.geometry import CIRCLE, INTERVAL, circle_distance
 from rdsw.systems import (
     AffineMap,
     MapSpec,
     MoebiusMap,
     PerturbedRotation,
+    ProjectiveMap,
     Rotation,
     SystemSpec,
     TabulatedMap,
@@ -106,10 +108,23 @@ def test_system_validation_messages():
 
 def test_map_from_params_round_trip():
     sys = binary()
-    again = SystemSpec([map_from_params(m.params()) for m in sys.maps], sys.probs)
     x = np.linspace(0, 1, 17)
-    for m0, m1 in zip(sys.maps, again.maps):
-        assert np.array_equal(m0(x), m1(x))
+    tab = TabulatedMap([0.0, 0.3, 0.7], [0.1, 0.55, 0.8], space=CIRCLE, node_derivs=[0.9, 1.2, 0.8])
+    every_family = [
+        *sys.maps,
+        Rotation(0.3),
+        PerturbedRotation(0.1, 0.2, harmonic=3, phase=0.5),
+        MoebiusMap([[1.3, 0.2], [0.0, 1 / 1.3]]),
+        tab,
+        ProjectiveMap([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]),
+    ]
+    assert len({type(m) for m in every_family}) == 6
+    for m0 in every_family:
+        m1 = map_from_params(m0.params())
+        assert m1 == m0 and m1.params() == m0.params()
+        arg = np.eye(3) if isinstance(m0, ProjectiveMap) else x
+        assert np.array_equal(m0(arg), m1(arg))
+    assert tab.params()["node_derivs"] == [0.9, 1.2, 0.8]
     with pytest.raises(ValueError, match="unknown map family"):
         map_from_params({"family": "teleport"})
     with pytest.raises(ValueError, match="unknown key"):
@@ -128,8 +143,20 @@ def test_map_from_params_round_trip():
         lambda: MoebiusMap([[np.nan, 0.0], [0.0, 1.0]]),
         lambda: TabulatedMap([0.0, np.nan, 1.0], [0.0, 0.5, 1.0]),
         lambda: TabulatedMap([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], node_derivs=[1.0, -np.inf, 1.0]),
+        lambda: Rotation("0.25"),
+        lambda: MoebiusMap([["2", 0.0], [0.0, "0.5"]]),
     ],
-    ids=["affine", "rotation", "perturbed-phase", "perturbed-harmonic", "moebius", "tabulated-nodes", "tabulated-derivs"],
+    ids=[
+        "affine",
+        "rotation",
+        "perturbed-phase",
+        "perturbed-harmonic",
+        "moebius",
+        "tabulated-nodes",
+        "tabulated-derivs",
+        "string-real",
+        "string-matrix-entry",
+    ],
 )
 def test_map_constructors_reject_non_finite_reals(build):
     with pytest.raises(ValueError, match="finite"):
@@ -190,6 +217,34 @@ def test_ensemble_apply_matches_scalar_orbits():
     ensemble_apply(sys, xs, srow, log_deriv=ld)
     assert np.allclose(xs, expected)
     assert np.allclose(ld, np.log(0.5))
+
+
+def _tabulated_circle() -> SystemSpec:
+    tab = TabulatedMap([0.0, 0.3, 0.7], [0.1, 0.55, 0.8], space=CIRCLE, node_derivs=[0.9, 1.2, 0.8])
+    return SystemSpec([tab, Rotation(0.25)], (0.5, 0.5), name="tabulated")
+
+
+@pytest.mark.parametrize("name", [*gallery_ids(), "tabulated"])
+def test_scalar_orbit_matches_ensemble_step_bitwise(name):
+    """iterate's scalar closures against ensemble_apply, one step at a time.
+
+    Bit-identical for every family but Moebius maps, whose math and numpy
+    atan2/cos/sin may round differently; there each step is held within 1e-15.
+    """
+    sys = _tabulated_circle() if name == "tabulated" else gallery(name)
+    n = 2000
+    word = sys.word_stream(11).draw(n)
+    scalar = iterate(sys, 0.3, word, n)
+    xs = np.array([0.3])
+    ensemble = [xs[0]]
+    for s in word:
+        ensemble_apply(sys, xs, np.array([s]))
+        ensemble.append(xs[0])
+    ensemble = np.array(ensemble)
+    if sys.name == "moebius_pair":
+        assert max(circle_distance(a, b) for a, b in zip(scalar, ensemble)) <= 1e-15
+    else:
+        assert np.array_equal(scalar.view(np.uint64), ensemble.view(np.uint64))
 
 
 def test_word_enumeration_weights_sum_to_one():
