@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -49,7 +48,7 @@ from .lyapunov import distortion_report, estimate_gamma, ld_curve, sync_ld_curve
 from .measures import atom_diagnostic, estimate_stationary
 from .operators import build_laplace_markov, build_transfer_ulam, leading_eigen, spectral_gap, subleading_decay
 from .synchronization import average_sync_sum, fit_sync_rate, paired_orbit
-from .systems import SystemSpec, map_from_params
+from .systems import MAX_MAPS, SystemSpec, _is_finite_real, map_from_params
 from .util import BudgetExceededError, OverflowGuardError, RefusalError, fmt
 
 __all__ = ["main"]
@@ -85,10 +84,9 @@ def _typed(value, kind: str, path: str):
     if kind == "real":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected real number, got {value!r}")
-        v = float(value)
-        if not math.isfinite(v):
-            raise ConfigError(f"{path}: expected finite real, got {v!r}")
-        return v
+        if not _is_finite_real(value):  # NaN, infinities, integers past the float range
+            raise ConfigError(f"{path}: expected finite real, got {value!r}")
+        return float(value)
     if kind == "preal":
         v = _typed(value, "real", path)
         if v <= 0.0:
@@ -168,8 +166,8 @@ def _resolve_system(spec) -> SystemSpec:
         raise ConfigError("system: expected gallery id string or object")
     _reject_unknown(spec, {"maps", "probs", "name"}, "system")
     maps_raw = spec.get("maps")
-    if not isinstance(maps_raw, list) or not maps_raw:
-        raise ConfigError("system.maps: expected non-empty list of map objects")
+    if not isinstance(maps_raw, list) or not maps_raw or len(maps_raw) > MAX_MAPS:
+        raise ConfigError(f"system.maps: expected a list of 1 to {MAX_MAPS} map objects")
     maps = []
     for i, m in enumerate(maps_raw):
         if not isinstance(m, dict) or "family" not in m:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .synchronization import local_contraction_probe
-from .systems import ProjectiveMap, SystemSpec, WordStream, _resolve_word, _square_matrix
+from .systems import MAX_MAPS, ProjectiveMap, SystemSpec, WordStream, _resolve_word, _square_matrix
 from .util import OverflowGuardError, RefusalError
 
 __all__ = [
@@ -55,6 +55,8 @@ class CocycleSpec:
             mats.append(m)
         if not mats:
             raise ValueError("matrices: need at least one matrix")
+        if len(mats) > MAX_MAPS:
+            raise ValueError(f"matrices: at most {MAX_MAPS} matrices (int8 symbols), got {len(mats)}")
         d = mats[0].shape[0]
         p = np.asarray(probs, dtype=float)
         if p.shape != (len(mats),):
@@ -162,20 +164,15 @@ def estimate_spectrum(
         raise ValueError("estimate_spectrum needs n >= 1 and replicas >= 2")
     d = cocycle.dim
     stream = cocycle.word_stream(seed, _SPECTRUM_BASE)
+    mats = np.stack(cocycle.matrices)
     b = np.tile(np.eye(d), (replicas, 1, 1))
     logs = np.zeros((replicas, d))
-    step = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, blk in stream.blocks(n, replicas):
-            for row in blk:
-                for i, m in enumerate(cocycle.matrices):
-                    mask = row == i
-                    if mask.any():
-                        b[mask] = np.matmul(m, b[mask])
-                step += 1
-                if step % QR_BLOCK == 0:
-                    b = _reorth(b, logs)
-        if step % QR_BLOCK:
+        for step, row in enumerate(stream.rows(n, replicas), 1):
+            b = np.matmul(mats[row], b)
+            if step % QR_BLOCK == 0:
+                b = _reorth(b, logs)
+        if n % QR_BLOCK:
             b = _reorth(b, logs)
     per = logs / n
     chis = per.mean(axis=0)[::-1].copy()

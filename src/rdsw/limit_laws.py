@@ -175,14 +175,13 @@ def _ensemble_sums(system: SystemSpec, h, x0s: np.ndarray, n: int, stream, marks
     mark_iter = iter(marks)
     next_mark = next(mark_iter, None)
     terms = 0
-    for _, block in stream.blocks(n, replicas):
-        for row in block:
-            s += np.asarray(h(x), dtype=float)
-            ensemble_apply(system, x, row)
-            terms += 1
-            while next_mark is not None and next_mark == terms:
-                recorded[terms] = s.copy()
-                next_mark = next(mark_iter, None)
+    for row in stream.rows(n, replicas):
+        s += np.asarray(h(x), dtype=float)
+        ensemble_apply(system, x, row)
+        terms += 1
+        while next_mark is not None and next_mark == terms:
+            recorded[terms] = s.copy()
+            next_mark = next(mark_iter, None)
     return s, recorded
 
 

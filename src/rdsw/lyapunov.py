@@ -126,9 +126,8 @@ def estimate_gamma(
     stream = system.word_stream(seed, _GAMMA_BASE)
     x = np.full(replicas, float(x0))
     ld = np.zeros(replicas)
-    for _, block in stream.blocks(n, replicas):
-        for row in block:
-            ensemble_apply(system, x, row, log_deriv=ld)
+    for row in stream.rows(n, replicas):
+        ensemble_apply(system, x, row, log_deriv=ld)
     per = ld / n
     gamma_hat = float(per.mean())
     stderr = float(per.std(ddof=1) / math.sqrt(replicas))
@@ -182,7 +181,7 @@ def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_bu
     """Shared engine: per horizon, exact word enumeration or MC, same streams.
 
     ``stat_builder(m, rows, n)`` runs m words at once from an iterable of n
-    symbol rows: the columns of the word matrix, or the stream's blocks.
+    symbol rows: the columns of the word matrix, or the stream's rows.
     """
     ne, nh = len(epsilons), len(horizons)
     probs = np.zeros((ne, nh))
@@ -210,8 +209,7 @@ def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_bu
                 ci_high[i, j] = p
         else:
             stream = system.word_stream(seed, _LD_BASE + j)
-            rows = (row for _, block in stream.blocks(n, replicas) for row in block)
-            stats, cens = stat_builder(replicas, rows, n)
+            stats, cens = stat_builder(replicas, stream.rows(n, replicas), n)
             censored[j] = float(np.mean(cens)) if cens is not None else 0.0
             stats_means[j] = float(np.mean(stats))
             dev = stat_builder.deviation(stats)
@@ -402,13 +400,10 @@ def distortion_report(
     pts = np.concatenate([np.tile(g, replicas) for g in grids])  # arc-major blocks
     ld = np.zeros_like(pts)
     spreads = np.empty((n_arcs, replicas, n))
-    step = 0
-    for _, block in stream.blocks(n, replicas):
-        for row in block:
-            ensemble_apply(system, pts, np.tile(np.repeat(row, 32), n_arcs), log_deriv=ld)
-            shaped = ld.reshape(n_arcs, replicas, 32)
-            spreads[:, :, step] = shaped.max(axis=2) - shaped.min(axis=2)
-            step += 1
+    for step, row in enumerate(stream.rows(n, replicas)):
+        ensemble_apply(system, pts, np.tile(np.repeat(row, 32), n_arcs), log_deriv=ld)
+        shaped = ld.reshape(n_arcs, replicas, 32)
+        spreads[:, :, step] = shaped.max(axis=2) - shaped.min(axis=2)
     final = pts.reshape(n_arcs, replicas, 32)
     if circle:
         flen = np.stack(

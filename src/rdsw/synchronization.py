@@ -174,25 +174,19 @@ def average_sync_sum(
         av = np.tile(a0, (replicas, 1))
         bv = np.tile(b0, (replicas, 1))
         means[0] = projective_distance(a0, b0) ** alpha
-        step = 0
-        for _, block in stream.blocks(n, replicas):
-            for row in block:
-                ensemble_apply_many(system, (av, bv), row)
-                g = np.einsum("ij,ij->i", av, bv)
-                d = np.sqrt(np.maximum(0.0, 1.0 - g * g))
-                step += 1
-                means[step] = float(np.mean(d**alpha))
+        for step, row in enumerate(stream.rows(n, replicas), 1):
+            ensemble_apply_many(system, (av, bv), row)
+            g = np.einsum("ij,ij->i", av, bv)
+            d = np.sqrt(np.maximum(0.0, 1.0 - g * g))
+            means[step] = float(np.mean(d**alpha))
     else:
         av = np.full(replicas, float(x))
         bv = np.full(replicas, float(y))
         means[0] = base_distance(system.space, float(x), float(y)) ** alpha
-        step = 0
-        for _, block in stream.blocks(n, replicas):
-            for row in block:
-                ensemble_apply_many(system, (av, bv), row)
-                d = coordinate_distance(system.space, av, bv)
-                step += 1
-                means[step] = float(np.mean(d**alpha))
+        for step, row in enumerate(stream.rows(n, replicas), 1):
+            ensemble_apply_many(system, (av, bv), row)
+            d = coordinate_distance(system.space, av, bv)
+            means[step] = float(np.mean(d**alpha))
     sums = np.cumsum(means)
     m0 = int(math.floor(0.9 * n))
     total = float(sums[-1])
@@ -227,16 +221,13 @@ def local_contraction_probe(
     if system.space == PROJECTIVE:
         cloud = _projective_ball(system, x, radius, 64)
         flat = np.tile(cloud, (replicas, 1))
-        step = 0
-        for _, block in stream.blocks(n, replicas):
-            for row in block:
-                ensemble_apply_many(system, (flat,), np.repeat(row, cloud.shape[0]))
-                pts = flat.reshape(replicas, cloud.shape[0], -1)
-                g = np.einsum("rkd,rld->rkl", pts, pts)
-                min_gsq = np.min(g * g, axis=(1, 2))
-                diam = np.sqrt(np.maximum(0.0, 1.0 - min_gsq))
-                ok &= diam <= qk[step]
-                step += 1
+        for step, row in enumerate(stream.rows(n, replicas)):
+            ensemble_apply_many(system, (flat,), np.repeat(row, cloud.shape[0]))
+            pts = flat.reshape(replicas, cloud.shape[0], -1)
+            g = np.einsum("rkd,rld->rkl", pts, pts)
+            min_gsq = np.min(g * g, axis=(1, 2))
+            diam = np.sqrt(np.maximum(0.0, 1.0 - min_gsq))
+            ok &= diam <= qk[step]
         return float(np.mean(ok))
     xf = float(x)
     if system.space == CIRCLE:
@@ -246,17 +237,14 @@ def local_contraction_probe(
         lo = np.full(replicas, max(0.0, xf - radius))
         hi = np.full(replicas, min(1.0, xf + radius))
     circle = system.space == CIRCLE
-    step = 0
-    for _, block in stream.blocks(n, replicas):
-        for row in block:
-            ensemble_apply_many(system, (lo, hi), row)
-            if circle:
-                diam = np.minimum((hi - lo) % 1.0, 0.5)
-            else:
-                lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-                diam = hi - lo
-            ok &= diam <= qk[step]
-            step += 1
+    for step, row in enumerate(stream.rows(n, replicas)):
+        ensemble_apply_many(system, (lo, hi), row)
+        if circle:
+            diam = np.minimum((hi - lo) % 1.0, 0.5)
+        else:
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+            diam = hi - lo
+        ok &= diam <= qk[step]
     return float(np.mean(ok))
 
 
@@ -313,9 +301,8 @@ def contraction_on_average_search(
     av = np.repeat(xs, replicas)
     bv = np.repeat(ys, replicas)
     stream = system.word_stream(seed, _CAS_BASE)
-    for _, block in stream.blocks(horizon, p * replicas):
-        for row in block:
-            ensemble_apply_many(system, (av, bv), row)
+    for row in stream.rows(horizon, p * replicas):
+        ensemble_apply_many(system, (av, bv), row)
     dk = coordinate_distance(system.space, av, bv).reshape(p, replicas)
     lambdas = np.empty(alphas.size)
     ubs = np.empty(alphas.size)
@@ -385,10 +372,9 @@ def proximality_probe(
     ys = np.repeat(np.array([b for _, b in pair_grid]), replicas)
     best = np.full(p * replicas, np.inf)
     stream = system.word_stream(seed, _PROX_BASE)
-    for _, block in stream.blocks(horizon, p * replicas):
-        for row in block:
-            ensemble_apply_many(system, (xs, ys), row)
-            np.minimum(best, coordinate_distance(system.space, xs, ys), out=best)
+    for row in stream.rows(horizon, p * replicas):
+        ensemble_apply_many(system, (xs, ys), row)
+        np.minimum(best, coordinate_distance(system.space, xs, ys), out=best)
     mins = best.reshape(p, replicas).min(axis=1)
     out = []
     for (a, b), mn in zip(pair_grid, mins):

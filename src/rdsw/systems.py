@@ -39,6 +39,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 WORD_BUDGET = 1 << 24
+MAX_MAPS = 127  # symbols are int8
+_CHUNK = 1 << 15  # states per pass of the ensemble step: keeps its temporaries cache-sized
 _REALS = (int, float, np.integer, np.floating)
 _FLOAT_MAX = sys.float_info.max
 
@@ -46,6 +48,12 @@ _FLOAT_MAX = sys.float_info.max
 def _is_finite_real(v) -> bool:
     """A Python or numpy int or float, not a bool, that is a finite float."""
     return isinstance(v, _REALS) and not isinstance(v, bool) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+
+
+def _mod1(x):
+    """x % 1.0 bit for bit (a float's fraction is exact, and x - floor(x) rounds
+    1 - f as fmod(x, 1) + 1 does), without numpy's slow remainder loop."""
+    return x - np.floor(x)
 
 
 def _finite(name: str, value) -> float:
@@ -89,17 +97,23 @@ class MapSpec:
     ``params()``, ``map_from_params``, ``repr`` and equality all read it.
 
     ``__call__``/``deriv`` accept floats or arrays and are the canonical
-    evaluator: ensemble statistics run through them (``ensemble_apply``).
-    ``scalar_fn`` returns a plain-float closure that ``iterate`` uses for single
-    orbits because it is several times faster per call. The two paths agree
-    bit for bit except on Moebius maps, whose ``math`` and numpy trigonometry
-    may round differently: at most 1 ulp apart per step. ``deriv`` is the
-    signed derivative of the lift.
+    evaluator; ``deriv`` is the signed derivative of the lift. A family with a
+    coefficient table names in ``_table`` the class whose static
+    ``_image(x, *row)``/``_slope(x, *row)`` are its formula, and gives its
+    coefficients as ``table_row()``. ``__call__``/``deriv`` evaluate that
+    formula on the map's own row, and ``ensemble_apply`` on the rows gathered
+    by each state's symbol, so both paths round alike. A map without a table
+    (``_table`` None) steps ensembles through its own ``__call__``/``deriv``.
+    ``scalar_fn`` returns a plain-float closure that ``iterate`` uses for
+    single orbits because it is several times faster per call. The two paths
+    agree bit for bit except on Moebius maps, whose ``math`` and numpy
+    trigonometry may round differently: at most 1 ulp apart per step.
     """
 
     family = "abstract"
     space = INTERVAL
     has_derivative = True
+    _table = None
 
     def __call__(self, x):
         raise NotImplementedError
@@ -151,11 +165,22 @@ class AffineMap(MapSpec):
         self.a = a
         self.b = b
 
+    def table_row(self) -> tuple:
+        return (self.a, self.b)
+
+    @staticmethod
+    def _image(x, a, b):
+        return np.minimum(1.0, np.maximum(0.0, a * x + b))
+
+    @staticmethod
+    def _slope(x, a, b):
+        return np.full_like(x, a)
+
     def __call__(self, x):
-        return np.minimum(1.0, np.maximum(0.0, self.a * np.asarray(x, dtype=float) + self.b))
+        return self._image(np.asarray(x, dtype=float), *self.table_row())
 
     def deriv(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.a)
+        return self._slope(np.asarray(x, dtype=float), *self.table_row())
 
     def scalar_fn(self):
         a, b = self.a, self.b
@@ -167,7 +192,11 @@ class AffineMap(MapSpec):
 
 
 class Rotation(MapSpec):
-    """x -> x + c mod 1 on the circle."""
+    """x -> x + c mod 1 on the circle.
+
+    In an ensemble it joins the perturbed-rotation table with amp 0, which is
+    bit-identical: x + c + 0.0 * sin(.) == x + c and 1 + 0.0 * cos(.) == 1.
+    """
 
     family = "rotation"
     space = CIRCLE
@@ -175,8 +204,11 @@ class Rotation(MapSpec):
     def __init__(self, c: float):
         self.c = _finite("c", c)
 
+    def table_row(self) -> tuple:
+        return (self.c, 0.0, _TWO_PI, 0.0, 0.0)
+
     def __call__(self, x):
-        return (np.asarray(x, dtype=float) + self.c) % 1.0
+        return _mod1(np.asarray(x, dtype=float) + self.c)
 
     def deriv(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
@@ -215,20 +247,33 @@ class PerturbedRotation(MapSpec):
         self._w = _TWO_PI * self.harmonic
         self._k = self.amp / self._w
 
+    def table_row(self) -> tuple:
+        return (self.c, self._k, self._w, self.amp, self.phase)
+
+    @staticmethod
+    def _lift(x, c, k, w, amp, phase):
+        return x + c + k * np.sin(w * x + phase)
+
+    @staticmethod
+    def _image(x, *row):
+        return _mod1(PerturbedRotation._lift(x, *row))
+
+    @staticmethod
+    def _slope(x, c, k, w, amp, phase):
+        return 1.0 + amp * np.cos(w * x + phase)
+
     def __call__(self, x):
-        return self.lift(x) % 1.0
+        return self._image(np.asarray(x, dtype=float), *self.table_row())
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 + self.amp * np.cos(self._w * x + self.phase)
+        return self._slope(np.asarray(x, dtype=float), *self.table_row())
 
     def scalar_fn(self):
-        c, k, w, ph = self.c, self._k, self._w, self.phase
+        c, k, w, _, ph = self.table_row()
         return lambda x: (x + c + k * math.sin(w * x + ph)) % 1.0
 
     def lift(self, x):
-        x = np.asarray(x, dtype=float)
-        return x + self.c + self._k * np.sin(self._w * x + self.phase)
+        return self._lift(np.asarray(x, dtype=float), *self.table_row())
 
     def inverse_grid(self, ts):
         return _bisect_circle_inverse(self.lift, np.asarray(ts, dtype=float))
@@ -254,23 +299,35 @@ class MoebiusMap(MapSpec):
         self.matrix = m
         self.det = det
 
-    def _image(self, x):
+    def table_row(self) -> tuple:
+        (m00, m01), (m10, m11) = self.matrix.tolist()
+        return (m00, m01, m10, m11, self.det)
+
+    @staticmethod
+    def _uv(x, m00, m01, m10, m11):
         """(u, v) = A (cos pi x, sin pi x)."""
-        th = math.pi * np.asarray(x, dtype=float)
+        th = math.pi * x
         c, s = np.cos(th), np.sin(th)
-        m = self.matrix
-        return m[0, 0] * c + m[0, 1] * s, m[1, 0] * c + m[1, 1] * s
+        return m00 * c + m01 * s, m10 * c + m11 * s
+
+    @staticmethod
+    def _image(x, m00, m01, m10, m11, det):
+        u, v = MoebiusMap._uv(x, m00, m01, m10, m11)
+        return _mod1(np.arctan2(v, u) / math.pi)
+
+    @staticmethod
+    def _slope(x, m00, m01, m10, m11, det):
+        u, v = MoebiusMap._uv(x, m00, m01, m10, m11)
+        return det / (u * u + v * v)
 
     def __call__(self, x):
-        u, v = self._image(x)
-        return (np.arctan2(v, u) / math.pi) % 1.0
+        return self._image(np.asarray(x, dtype=float), *self.table_row())
 
     def deriv(self, x):
-        u, v = self._image(x)
-        return self.det / (u * u + v * v)
+        return self._slope(np.asarray(x, dtype=float), *self.table_row())
 
     def scalar_fn(self):
-        (m00, m01), (m10, m11) = self.matrix
+        m00, m01, m10, m11, _ = self.table_row()
         pi = math.pi
 
         def f(x):
@@ -397,6 +454,9 @@ class ProjectiveMap(MapSpec):
 _FAMILIES = {
     cls.family: cls for cls in (AffineMap, Rotation, PerturbedRotation, MoebiusMap, TabulatedMap, ProjectiveMap)
 }
+AffineMap._table = AffineMap
+Rotation._table = PerturbedRotation._table = PerturbedRotation
+MoebiusMap._table = MoebiusMap
 
 
 def map_from_params(params: dict) -> MapSpec:
@@ -446,19 +506,57 @@ def _bisect_interval_inverse(f, ts, a: float, b: float):
     return _bisect(f, tc, np.full_like(tc, a), np.full_like(tc, b))
 
 
+class _Group:
+    """Maps that ``ensemble_apply`` steps together.
+
+    A family table holds one column of coefficients per symbol (zeros for the
+    symbols of other groups); ``gather`` picks each state's column, and
+    ``image``/``slope`` are the family formula. A map without a table is a
+    one-member group whose ``image``/``slope`` are its own ``__call__``/``deriv``.
+    """
+
+    def __init__(self, symbols, image, slope, columns=None):
+        self.symbols = symbols
+        self.image = image
+        self.slope = slope
+        self.columns = columns
+
+    def gather(self, s) -> tuple:
+        return () if self.columns is None else tuple(self.columns.take(s, axis=1))
+
+
+def _groups(maps) -> list:
+    members = {}
+    for i, m in enumerate(maps):
+        members.setdefault(m._table or i, []).append(i)
+    groups = []
+    for key, symbols in members.items():
+        if isinstance(key, int):
+            m = maps[key]
+            groups.append(_Group(symbols, m.__call__, m.deriv))
+            continue
+        columns = np.zeros((len(maps[symbols[0]].table_row()), len(maps)))
+        for i in symbols:
+            columns[:, i] = maps[i].table_row()
+        groups.append(_Group(symbols, key._image, key._slope, columns))
+    return groups
+
+
 class SystemSpec:
     """A finite family of maps of one phase space plus map probabilities.
 
-    Validation: matching spaces, probabilities positive and summing to 1
-    within 1e-12, and (for 1-D spaces) every map checked on a 2048-point grid
-    for range containment and a derivative bounded away from zero whenever the
-    family provides one.
+    Validation: at most ``MAX_MAPS`` maps, matching spaces, probabilities
+    positive and summing to 1 within 1e-12, and (for 1-D spaces) every map
+    checked on a 2048-point grid for range containment and a derivative
+    bounded away from zero whenever the family provides one.
     """
 
     def __init__(self, maps, probs, name: str = "", check: bool = True):
         maps = tuple(maps)
         if not maps:
             raise ValueError("a system needs at least one map")
+        if len(maps) > MAX_MAPS:
+            raise ValueError(f"a system has at most {MAX_MAPS} maps (int8 symbols), got {len(maps)}")
         spaces = {m.space for m in maps}
         if len(spaces) != 1:
             raise ValueError(f"all maps must share one phase space, got {sorted(spaces)}")
@@ -474,6 +572,10 @@ class SystemSpec:
         self.probs.setflags(write=False)
         self.space = next(iter(spaces))
         self.name = name
+        self._groups = _groups(maps)
+        self._group_of = np.empty(len(maps), dtype=np.int8)
+        for g, group in enumerate(self._groups):
+            self._group_of[group.symbols] = g
         if check and self.space in (CIRCLE, INTERVAL):
             self._grid_check()
 
@@ -493,6 +595,25 @@ class SystemSpec:
                     raise ValueError(f"{m!r} derivative changes sign on the check grid")
                 if np.min(np.abs(d)) < 1e-9:
                     raise ValueError(f"{m!r} derivative is not bounded away from zero")
+
+    def _select(self, srow: np.ndarray):
+        """Yield (states, symbols, group) for each group that srow uses, one
+        chunk of ``_CHUNK`` states at a time.
+
+        ``states`` indexes the states of the group: the whole chunk (a slice)
+        when one group holds all the maps, else their positions.
+        """
+        for lo in range(0, srow.size, _CHUNK):
+            chunk = slice(lo, lo + _CHUNK)
+            s = srow[chunk]
+            if len(self._groups) == 1:
+                yield chunk, s, self._groups[0]
+                continue
+            owner = self._group_of[s]
+            for g, group in enumerate(self._groups):
+                idx = np.flatnonzero(owner == g)
+                if idx.size:
+                    yield idx + lo, s[idx], group
 
     def word_stream(self, seed: int, stream_id: int = 0) -> "WordStream":
         return WordStream(int(seed), int(stream_id), tuple(float(p) for p in self.probs))
@@ -530,16 +651,21 @@ class WordStream:
         key = ((self.stream_id % _M64) << 64) | (self.seed % _M64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def _cumulative(self) -> np.ndarray:
-        cum = np.cumsum(np.asarray(self.probs, dtype=float))
-        cum[-1] = 1.0
-        return cum
+    def _symbols(self, u: np.ndarray) -> np.ndarray:
+        """The int8 symbol of each uniform: how many cumulative probabilities
+        below the last it reaches. Since u < 1 = cum[-1], this equals
+        ``searchsorted(cum, u, side="right")``."""
+        cum = np.cumsum(np.asarray(self.probs, dtype=float))[:-1]
+        if cum.size == 0:
+            return np.zeros(u.shape, dtype=np.int8)
+        s = (u >= cum[0]).view(np.int8)
+        for c in cum[1:]:
+            s += (u >= c).view(np.int8)
+        return s
 
     def draw(self, n: int) -> np.ndarray:
         """The first n symbols of this stream."""
-        cum = self._cumulative()
-        u = self._rng().random(int(n))
-        return np.searchsorted(cum, u, side="right")
+        return self._symbols(self._rng().random(int(n)))
 
     def blocks(self, n_rows: int, width: int, max_elems: int = 1 << 21):
         """Yield (start_row, block) covering an (n_rows, width) symbol matrix.
@@ -547,15 +673,18 @@ class WordStream:
         Rows are replica steps or replica indices depending on the caller;
         the matrix equals draw(n_rows * width).reshape(n_rows, width).
         """
-        cum = self._cumulative()
         rng = self._rng()
         rows = max(1, int(max_elems) // max(1, int(width)))
         start = 0
         while start < n_rows:
             m = min(rows, n_rows - start)
-            u = rng.random((m, int(width)))
-            yield start, np.searchsorted(cum, u.ravel(), side="right").reshape(m, int(width))
+            yield start, self._symbols(rng.random((m, int(width))))
             start += m
+
+    def rows(self, n_rows: int, width: int):
+        """The rows of the (n_rows, width) symbol matrix of ``blocks``, one at a time."""
+        for _, block in self.blocks(n_rows, width):
+            yield from block
 
     def uniforms(self, n: int) -> np.ndarray:
         """Auxiliary uniform variates from the same keyed stream."""
@@ -638,24 +767,25 @@ def word_weights(system: SystemSpec, words: np.ndarray) -> np.ndarray:
 def ensemble_apply(system: SystemSpec, xs: np.ndarray, srow: np.ndarray, log_deriv=None):
     """Advance a vector of states one step under per-state symbols, in place.
 
-    When ``log_deriv`` is given it accumulates log |f'| evaluated before the
-    move, so after n steps it holds sum_{k<n} log |f'_{i_{k+1}}(X_k)|.
+    Each family table gathers its coefficients by symbol and evaluates its
+    formula once over its states, chunk by chunk, with no mask when one
+    table holds every map; a map without a table steps its own states.
+    Elementwise arithmetic makes the result independent of the chunking and
+    grouping: it equals stepping each map's states alone. When ``log_deriv`` is
+    given it accumulates log |f'| evaluated before the move, so after n steps
+    it holds sum_{k<n} log |f'_{i_{k+1}}(X_k)|.
     """
-    for i, f in enumerate(system.maps):
-        mask = srow == i
-        if not mask.any():
-            continue
-        xi = xs[mask]
+    for states, s, group in system._select(srow):
+        x = xs[states]
+        row = group.gather(s)
         if log_deriv is not None:
-            log_deriv[mask] += np.log(np.abs(system.maps[i].deriv(xi)))
-        xs[mask] = f(xi)
+            log_deriv[states] += np.log(np.abs(group.slope(x, *row)))
+        xs[states] = group.image(x, *row)
 
 
 def ensemble_apply_many(system: SystemSpec, arrays, srow: np.ndarray):
     """Advance several aligned state vectors under one shared symbol row."""
-    for i, f in enumerate(system.maps):
-        mask = srow == i
-        if not mask.any():
-            continue
+    for states, s, group in system._select(srow):
+        row = group.gather(s)
         for a in arrays:
-            a[mask] = f(a[mask])
+            a[states] = group.image(a[states], *row)

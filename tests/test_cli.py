@@ -158,6 +158,29 @@ def _inline_binary(first_map: dict, **system_keys) -> dict:
             {"command": "cocycle", "cocycle": {"matrices": [[["2", 0.0], [0.0, "0.5"]]], "probs": [1.0]}},
             "config error: cocycle.matrices[0]: expected a square matrix of reals",
         ),
+        (
+            {**_inline_binary({"family": "affine_interval", "a": 0.5, "b": 0.0}), "params": {"samples": 100, "x0": 10**400}},
+            "config error: params.x0: expected finite real",
+        ),
+        (
+            _inline_binary({"family": "affine_interval", "a": 0.5, "b": 0.0}, probs=[10**400, 0.5]),
+            "config error: system.probs[0]: expected finite real",
+        ),
+        (
+            {"command": "cocycle", "cocycle": {"matrices": [[[2.0, 0.0], [0.0, 0.5]]], "probs": [-(10**400)]}},
+            "config error: cocycle.probs[0]: expected finite real",
+        ),
+        (
+            {
+                "command": "stationary",
+                "system": {"maps": [{"family": "rotation", "c": i / 256} for i in range(128)], "probs": [1 / 128] * 128},
+            },
+            "config error: system.maps: expected a list of 1 to 127 map objects",
+        ),
+        (
+            {"command": "cocycle", "cocycle": {"matrices": [[[2.0, 0.0], [0.0, 0.5]]] * 128, "probs": [1 / 128] * 128}},
+            "config error: cocycle.matrices: at most 127 matrices",
+        ),
     ],
     ids=[
         "missing-key",
@@ -172,6 +195,11 @@ def _inline_binary(first_map: dict, **system_keys) -> dict:
         "string-real",
         "bool-real",
         "string-matrix-entry",
+        "huge-int-param",
+        "huge-int-system-prob",
+        "huge-int-cocycle-prob",
+        "too-many-maps",
+        "too-many-matrices",
     ],
 )
 def test_inline_construction_errors_name_the_field(tmp_path, capsys, payload, expected):

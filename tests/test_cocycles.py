@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from rdsw.cocycles import (
+    _SPECTRUM_BASE,
+    QR_BLOCK,
     CocycleSpec,
+    _reorth,
     cocycle_gallery,
     cocycle_gallery_ids,
     estimate_spectrum,
@@ -71,6 +74,26 @@ def test_spectrum_sum_rule_diag_rot():
         f"sum of exponents {total} must equal E log|det| = {c.expected_log_det()}"
     )
     assert e.chis[-1] > 0.05, "diag_rot top exponent is known positive"
+
+
+@pytest.mark.parametrize("replicas", [64, 100, 256])
+@pytest.mark.parametrize("cid", cocycle_gallery_ids())
+def test_spectrum_matches_per_matrix_loop_bitwise(cid, replicas):
+    """The stacked-matrix step against the per-matrix mask loop it replaced."""
+    c = cocycle_gallery(cid)
+    n = 400
+    b = np.tile(np.eye(c.dim), (replicas, 1, 1))
+    logs = np.zeros((replicas, c.dim))
+    for step, row in enumerate(c.word_stream(0, _SPECTRUM_BASE).rows(n, replicas), 1):
+        for i, m in enumerate(c.matrices):
+            mask = row == i
+            if mask.any():
+                b[mask] = np.matmul(m, b[mask])
+        if step % QR_BLOCK == 0:  # n is a multiple of QR_BLOCK: no trailing block
+            b = _reorth(b, logs)
+    chis = (logs / n).mean(axis=0)[::-1]
+    est = estimate_spectrum(c, n=n, replicas=replicas, seed=0)
+    assert np.array_equal(est.chis.view(np.uint64), chis.view(np.uint64))
 
 
 def test_rotation_cocycle_has_zero_exponents():

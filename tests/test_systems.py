@@ -13,7 +13,9 @@ import pytest
 import rdsw
 from rdsw.gallery import gallery, gallery_ids
 from rdsw.geometry import CIRCLE, INTERVAL, circle_distance
+from rdsw.cocycles import CocycleSpec
 from rdsw.systems import (
+    MAX_MAPS,
     AffineMap,
     MapSpec,
     MoebiusMap,
@@ -24,6 +26,7 @@ from rdsw.systems import (
     TabulatedMap,
     WordStream,
     ensemble_apply,
+    ensemble_apply_many,
     iterate,
     map_from_params,
     word_matrix,
@@ -191,6 +194,22 @@ def test_word_stream_reproducible_and_blockwise_consistent():
     assert not np.array_equal(a, other), "distinct stream ids should decorrelate"
 
 
+@pytest.mark.parametrize("probs", [(1.0,), (0.5, 0.5), (0.2, 0.3, 0.5), (0.1, 0.05, 0.2, 0.15, 0.1, 0.3, 0.1)])
+def test_symbols_equal_searchsorted_right(probs):
+    ws = WordStream(5, 2, probs)
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    edges = np.concatenate([cum[:-1], np.nextafter(cum[:-1], 0.0), np.nextafter(cum[:-1], 1.0)])
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, ws.uniforms(10_000)])
+    sym = ws._symbols(u)
+    assert sym.dtype == np.int8
+    assert np.array_equal(sym, np.searchsorted(cum, u, side="right"))
+    width = (1 << 20) + 1  # one row per block of 2^21 symbols: rows cross block edges
+    rows = np.array(list(ws.rows(3, width)))
+    assert rows.dtype == np.int8
+    assert np.array_equal(rows, ws.draw(3 * width).reshape(3, width))
+
+
 def test_word_stream_matches_probs():
     ws = WordStream(3, 0, (0.2, 0.3, 0.5))
     sym = ws.draw(200_000)
@@ -245,6 +264,77 @@ def test_scalar_orbit_matches_ensemble_step_bitwise(name):
         assert max(circle_distance(a, b) for a, b in zip(scalar, ensemble)) <= 1e-15
     else:
         assert np.array_equal(scalar.view(np.uint64), ensemble.view(np.uint64))
+
+
+def _mixed_circle() -> SystemSpec:
+    # negative shifts give lifts below 0, so the reduction mod 1 is exercised
+    maps = (
+        Rotation(-0.25),
+        PerturbedRotation(0.1, 0.3, harmonic=2, phase=0.4),
+        MoebiusMap([[1.3, 0.2], [0.0, 1 / 1.3]]),
+        TabulatedMap([0.0, 0.3, 0.7], [0.1, 0.55, 0.8], space=CIRCLE, node_derivs=[0.9, 1.2, 0.8]),
+        PerturbedRotation(-0.2, -0.5, harmonic=1, phase=0.0),
+    )
+    return SystemSpec(maps, (0.2,) * 5, name="mixed")
+
+
+def _reference_apply(system, xs, srow, log_deriv=None):
+    """The per-map mask loop that the coefficient-table step replaced."""
+    for i, f in enumerate(system.maps):
+        mask = srow == i
+        if not mask.any():
+            continue
+        xi = xs[mask]
+        if log_deriv is not None:
+            log_deriv[mask] += np.log(np.abs(f.deriv(xi)))
+        xs[mask] = f(xi)
+
+
+def _reference_apply_many(system, arrays, srow):
+    for i, f in enumerate(system.maps):
+        mask = srow == i
+        if not mask.any():
+            continue
+        for a in arrays:
+            a[mask] = f(a[mask])
+
+
+@pytest.mark.parametrize(
+    "name, replicas, n",
+    [*((g, 257, 2000) for g in gallery_ids()), ("mixed", 257, 2000), ("mixed", 100_003, 10), ("binary_affine", 100_003, 10)],
+)
+def test_ensemble_step_matches_per_map_loop_bitwise(name, replicas, n):
+    """Also at a width that the step splits into several chunks."""
+    sys = _mixed_circle() if name == "mixed" else gallery(name)
+    start = np.random.default_rng(3).random((2, replicas))
+    xs, ld = start[0].copy(), np.zeros(replicas)
+    ref_xs, ref_ld = start[0].copy(), np.zeros(replicas)
+    pair = start.copy()
+    ref_pair = start.copy()
+    for srow in sys.word_stream(9).rows(n, replicas):
+        ensemble_apply(sys, xs, srow, log_deriv=ld)
+        _reference_apply(sys, ref_xs, srow, log_deriv=ref_ld)
+        ensemble_apply_many(sys, (pair[0], pair[1]), srow)
+        _reference_apply_many(sys, (ref_pair[0], ref_pair[1]), srow)
+    for got, want in ((xs, ref_xs), (ld, ref_ld), (pair, ref_pair)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(pair[0], xs), "both entry points must step alike"
+    assert np.all((0.0 <= pair) & (pair < 1.0)), "states leave [0, 1)"
+
+
+def test_symbol_width_is_bounded():
+    """Symbols are int8: past 127 maps they would wrap to negative table indices."""
+    rotations = [Rotation(i / 256.0) for i in range(MAX_MAPS + 1)]
+    with pytest.raises(ValueError, match="at most 127 maps"):
+        SystemSpec(rotations, (1.0 / len(rotations),) * len(rotations))
+    sys = SystemSpec(rotations[:MAX_MAPS], (1.0 / MAX_MAPS,) * MAX_MAPS)
+    words = word_matrix(sys, 1)[:, 0]
+    assert words.min() == 0 and words.max() == MAX_MAPS - 1
+    xs = np.zeros(MAX_MAPS)
+    ensemble_apply(sys, xs, words)
+    assert np.array_equal(xs, np.arange(MAX_MAPS) / 256.0)
+    with pytest.raises(ValueError, match="matrices: at most 127"):
+        CocycleSpec([np.eye(2)] * (MAX_MAPS + 1), (1.0 / (MAX_MAPS + 1),) * (MAX_MAPS + 1))
 
 
 def test_word_enumeration_weights_sum_to_one():
