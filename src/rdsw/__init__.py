@@ -9,16 +9,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .gallery import gallery, gallery_facts, gallery_ids
-from .geometry import (
-    CIRCLE,
-    INTERVAL,
-    PROJECTIVE,
-    MetricKind,
-    circle_distance,
-    interval_distance,
-    projective_distance,
-    snowflake,
-)
+from .geometry import CIRCLE, INTERVAL, PROJECTIVE, distance
 from .systems import (
     AffineMap,
     MapSpec,
@@ -36,11 +27,7 @@ __all__ = [
     "CIRCLE",
     "INTERVAL",
     "PROJECTIVE",
-    "MetricKind",
-    "circle_distance",
-    "interval_distance",
-    "projective_distance",
-    "snowflake",
+    "distance",
     "MapSpec",
     "AffineMap",
     "Rotation",

@@ -28,14 +28,13 @@ from .operators import (
     qn_identity_test,
     subleading_decay,
 )
-from .synchronization import average_sync_sum, fit_sync_rate, paired_orbit, proximality_probe
+from .synchronization import SYNC_STREAM, average_sync_sum, fit_sync_rate, paired_orbit, proximality_probe
 from .util import fmt, parallel_map
 
 __all__ = ["CaseResult", "CASE_ORDER", "case_ids", "run_case", "QN_BATTERY"]
 
 LOG2 = math.log(2.0)
 DIAG_ROT_CHI_TOP = 0.1707  # frozen: two independent 1e7-step runs, seeds 101/202
-_SYNC_BATTERY_STREAM = 3 << 16
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def _case_sync_rates(threads: int = 1):
     sys = gallery("binary_affine")
 
     def one(seed):
-        trace = paired_orbit(sys, 0.125, 0.625, sys.word_stream(seed, _SYNC_BATTERY_STREAM), 60)
+        trace = paired_orbit(sys, 0.125, 0.625, sys.word_stream(seed, SYNC_STREAM), 60)
         return seed, fit_sync_rate(trace)
 
     rows = parallel_map(one, range(1, 33), threads)

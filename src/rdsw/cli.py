@@ -47,13 +47,11 @@ from .limit_laws import clt_test, estimate_sigma2, lil_statistic, observable, sl
 from .lyapunov import distortion_report, estimate_gamma, ld_curve, sync_ld_curve
 from .measures import atom_diagnostic, estimate_stationary
 from .operators import build_laplace_markov, build_transfer_ulam, leading_eigen, spectral_gap, subleading_decay
-from .synchronization import average_sync_sum, fit_sync_rate, paired_orbit
-from .systems import MAX_MAPS, SystemSpec, _is_finite_real, map_from_params
+from .synchronization import SYNC_STREAM, average_sync_sum, fit_sync_rate, paired_orbit
+from .systems import MAX_MAPS, SystemSpec, _is_finite_real, _start_state, map_from_params
 from .util import BudgetExceededError, OverflowGuardError, RefusalError, fmt
 
 __all__ = ["main"]
-
-_SYNC_STREAM = 3 << 16
 
 
 class ConfigError(ValueError):
@@ -181,8 +179,12 @@ def _resolve_system(spec) -> SystemSpec:
     probs = spec.get("probs")
     if not isinstance(probs, list):
         raise ConfigError("system.probs: expected a list of reals")
-    name = spec.get("name", "custom")
-    return SystemSpec(maps, [_typed(p, "real", f"system.probs[{i}]") for i, p in enumerate(probs)], name=_typed(name, "str", "system.name"))
+    probs = [_typed(p, "real", f"system.probs[{i}]") for i, p in enumerate(probs)]
+    name = _typed(spec.get("name", "custom"), "str", "system.name")
+    try:
+        return SystemSpec(maps, probs, name=name)
+    except ValueError as e:  # SystemSpec names the argument at fault first
+        raise ConfigError(f"system.{e}") from e
 
 
 def _resolve_cocycle(spec) -> CocycleSpec:
@@ -216,6 +218,16 @@ _SUBJECTS = {
     "cocycle": (_resolve_cocycle, lambda c: c.name or "inline"),
     "case": (lambda case: [case] if case is not None else list(case_ids()), list),
 }
+
+
+def _check_starts(sys_: SystemSpec, p: dict, *keys):
+    """Each given start must be a point of the system: a real cannot start a projective orbit."""
+    for key in keys:
+        if p[key] is not None:
+            try:
+                _start_state(sys_, p[key])
+            except ValueError as e:
+                raise ConfigError(f"params.{key}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +359,7 @@ def _command(name: str, help_text: str, subject: str = "system", keys=("seed", "
     diagnostic=("bool", False),
 )
 def _cmd_stationary(run: _Run, sys_: SystemSpec, p: dict):
+    _check_starts(sys_, p, "x0")
     m = estimate_stationary(
         sys_,
         burn_in=p["burn_in"],
@@ -380,8 +393,9 @@ def _cmd_stationary(run: _Run, sys_: SystemSpec, p: dict):
     replicas=("pint", 10_000),
 )
 def _cmd_sync(run: _Run, sys_: SystemSpec, p: dict):
+    _check_starts(sys_, p, "x", "y")
     if p["mode"] == "rate":
-        trace = paired_orbit(sys_, p["x"], p["y"], sys_.word_stream(run.seed, _SYNC_STREAM), p["n"])
+        trace = paired_orbit(sys_, p["x"], p["y"], sys_.word_stream(run.seed, SYNC_STREAM), p["n"])
         f = fit_sync_rate(trace)
         run.table("trace", ["step", "distance"], list(enumerate(trace.distances)))
         run.table(

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .geometry import circle_distance
+from .geometry import CIRCLE, distance
 from .systems import AffineMap, MoebiusMap, PerturbedRotation, Rotation, SystemSpec
 
 __all__ = ["gallery", "gallery_ids", "gallery_facts", "ANTON_AMP"]
@@ -49,10 +49,10 @@ def _verify_anton(sys: SystemSpec):
     """Design conditions checked at load: fixed points, slopes, invariant arcs."""
     f1, f2, f3 = sys.maps
     for x in (0.0, 0.25, 0.5, 0.75):
-        if circle_distance(float(f1(x)), x) > 1e-12:
+        if distance(CIRCLE, float(f1(x)), x) > 1e-12:
             raise AssertionError(f"f1 must fix {x}")
     for x in (0.125, 0.375, 0.625, 0.875):
-        if circle_distance(float(f2(x)), x) > 1e-12:
+        if distance(CIRCLE, float(f2(x)), x) > 1e-12:
             raise AssertionError(f"f2 must fix {x}")
     # f1: repelling at 0 and 1/2, attracting at 1/4 and 3/4
     if not (f1.deriv(0.0) > 1.0 and f1.deriv(0.5) > 1.0):
@@ -67,7 +67,7 @@ def _verify_anton(sys: SystemSpec):
             ylo, yhi = float(f(lo)), float(f(hi))
             if not (lo - 1e-12 <= ylo <= hi + 1e-12 and lo - 1e-12 <= yhi <= hi + 1e-12):
                 raise AssertionError(f"{f!r} must keep [{lo}, {hi}] inside itself")
-    if circle_distance(float(f3(0.25)), 0.75) > 1e-12:
+    if distance(CIRCLE, float(f3(0.25)), 0.75) > 1e-12:
         raise AssertionError("f3 must swap the two arcs")
 
 

@@ -1,13 +1,11 @@
-"""Phase spaces and metrics: the circle R/Z, the unit interval, real projective space.
+"""Phase spaces and their distances: the circle R/Z, the unit interval, real projective space.
 
 Coordinates are plain floats (or arrays of them); points on projective space are
-unit vectors with antipodes identified. Snowflake metrics d^alpha with
-alpha in (0, 1] are applied on top of the base distance.
+unit vectors with antipodes identified. ``distance`` is the one pair-distance
+formula of each space, for a single pair or a whole ensemble.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,34 +13,25 @@ __all__ = [
     "CIRCLE",
     "INTERVAL",
     "PROJECTIVE",
-    "MetricKind",
-    "reduce_circle",
+    "mod1",
     "coordinate_grid",
     "signed_circle_difference",
-    "coordinate_distance",
-    "circle_distance",
-    "interval_distance",
-    "projective_distance",
-    "snowflake",
-    "base_distance",
     "distance",
-    "space_diameter",
 ]
 
 CIRCLE = "circle"
 INTERVAL = "interval"
 PROJECTIVE = "projective"
 
-_SPACES = (CIRCLE, INTERVAL, PROJECTIVE)
 
+def mod1(x):
+    """x % 1.0 bit for bit (a float's fraction is exact, and x - floor(x) rounds
+    1 - f as fmod(x, 1) + 1 does), without numpy's slow remainder loop.
 
-def reduce_circle(x):
-    """Reduce a coordinate (or array) mod 1 into [0, 1). Idempotent.
-
-    The second reduction folds the one float % can produce outside the
-    contract: tiny negative inputs round up to exactly 1.0.
+    The circle's one reduction into [0, 1). Like x % 1.0 it returns 1.0 for a
+    negative x within half an ulp of 1 below an integer.
     """
-    return (x % 1.0) % 1.0
+    return x - np.floor(x)
 
 
 def coordinate_grid(space: str, k: int) -> np.ndarray:
@@ -54,84 +43,29 @@ def coordinate_grid(space: str, k: int) -> np.ndarray:
 def signed_circle_difference(d):
     """A difference of circle coordinates folded into [-1/2, 1/2): the signed
     shortest step on R/Z."""
-    return (d + 0.5) % 1.0 - 0.5
+    return mod1(d + 0.5) - 0.5
 
 
-def coordinate_distance(space: str, a, b):
-    """|a - b| between coordinates (or arrays) of a 1-D space, folded to
-    min(d, 1 - d) on the circle, where both must already lie in [0, 1).
+def distance(space: str, a, b):
+    """Distance between points a and b of a space, or between aligned arrays of them.
 
-    Symmetric bit-for-bit: both branches are symmetric expressions of a, b.
+    Circle: any reals, each reduced by ``mod1``, then the shorter arc
+    min(d, 1 - d), in [0, 1/2]. Interval: |a - b|. Projective: unit
+    representatives along the last axis, and the sine of the angle between
+    their lines, sqrt(1 - <a, b>^2), which no antipode changes. The inner
+    product is one einsum, so a pair measured alone and the same pair as a row
+    of an ensemble get the same bits.
+
+    Symmetric bit for bit in a and b. A single pair gives a float.
     """
-    d = np.abs(np.asarray(a) - np.asarray(b))
     if space == CIRCLE:
+        d = np.abs(mod1(a) - mod1(b))
         d = np.minimum(d, 1.0 - d)
+    elif space == INTERVAL:
+        d = np.abs(np.subtract(a, b))
+    elif space == PROJECTIVE:
+        g = np.einsum("...i,...i->...", a, b)
+        d = np.sqrt(np.maximum(0.0, 1.0 - g * g))
+    else:
+        raise ValueError(f"unknown space {space!r}")
     return float(d) if d.ndim == 0 else d
-
-
-def circle_distance(x, y):
-    """Arc distance on R/Z of any two coordinates; lands in [0, 1/2]."""
-    return coordinate_distance(CIRCLE, np.asarray(x) % 1.0, np.asarray(y) % 1.0)
-
-
-def interval_distance(x, y):
-    """|x - y| on [0, 1]."""
-    return coordinate_distance(INTERVAL, x, y)
-
-
-def projective_distance(x, y):
-    """Sine of the angle between lines: ||x ^ y|| for unit representatives.
-
-    Equals |x1*y2 - x2*y1| in dimension 2, computed as sqrt(1 - <x,y>^2) in
-    any dimension, which is antipode-invariant as required.
-    """
-    g = float(np.dot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-    return float(np.sqrt(max(0.0, 1.0 - g * g)))
-
-
-def snowflake(dist, alpha: float):
-    """Apply the snowflake transform d -> d**alpha, alpha in (0, 1]."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"snowflake exponent must lie in (0, 1], got {alpha}")
-    return dist**alpha
-
-
-def base_distance(space: str, x, y):
-    """Distance in the named space, exponent 1."""
-    if space == CIRCLE:
-        return circle_distance(x, y)
-    if space == INTERVAL:
-        return interval_distance(x, y)
-    if space == PROJECTIVE:
-        return projective_distance(x, y)
-    raise ValueError(f"unknown space {space!r}")
-
-
-def space_diameter(space: str) -> float:
-    if space == CIRCLE:
-        return 0.5
-    if space in (INTERVAL, PROJECTIVE):
-        return 1.0
-    raise ValueError(f"unknown space {space!r}")
-
-
-@dataclass(frozen=True)
-class MetricKind:
-    """A base space plus a snowflake exponent alpha in (0, 1]."""
-
-    base: str
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.base not in _SPACES:
-            raise ValueError(f"unknown base space {self.base!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-
-
-def distance(kind: MetricKind, x, y):
-    """Distance under a MetricKind: base distance, snowflaked."""
-    d = base_distance(kind.base, x, y)
-    if kind.alpha == 1.0:
-        return d
-    return snowflake(d, kind.alpha)

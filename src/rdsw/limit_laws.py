@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .geometry import CIRCLE, INTERVAL, coordinate_distance
+from .geometry import CIRCLE, INTERVAL, distance
 from .measures import estimate_stationary, resample
 from .systems import SystemSpec, WordStream, ensemble_apply, iterate
 from .util import RefusalError
@@ -81,7 +81,7 @@ class Observable:
     def _spot_check(self, pairs: int = 10_000):
         u = WordStream(0x0B5E, _CHECK_BASE, (1.0,)).uniforms(2 * pairs)
         xs, ys = u[:pairs], u[pairs:]
-        d = coordinate_distance(self.space, xs, ys)
+        d = distance(self.space, xs, ys)
         lhs = np.abs(self(xs) - self(ys))
         rhs = self.holder_const * d**self.holder_alpha + 1e-9
         bad = np.nonzero(lhs > rhs)[0]

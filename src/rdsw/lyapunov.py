@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CIRCLE, coordinate_distance, coordinate_grid
+from .geometry import CIRCLE, coordinate_grid, distance
 from .measures import estimate_stationary
 from .systems import SystemSpec, ensemble_apply, ensemble_apply_many, word_matrix, word_weights
 from .util import RefusalError, fmt, linear_fit, wilson_interval
@@ -254,12 +254,12 @@ class _SyncStat:
     def __call__(self, m, rows, n):
         av = np.full(m, self.x)
         bv = np.full(m, self.y)
-        d0 = coordinate_distance(self.system.space, av, bv)
+        d0 = distance(self.system.space, av, bv)
         if np.any(d0 <= 0.0):
             raise ValueError("sync deviation statistic needs x != y")
         for row in rows:
             ensemble_apply_many(self.system, (av, bv), row)
-        dn = coordinate_distance(self.system.space, av, bv)
+        dn = distance(self.system.space, av, bv)
         cens = dn < CENSOR_FLOOR
         dn = np.maximum(dn, CENSOR_FLOOR)
         return (np.log(dn) - np.log(d0)) / n, cens

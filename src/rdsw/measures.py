@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    CIRCLE,
-    INTERVAL,
-    PROJECTIVE,
-    base_distance,
-    coordinate_distance,
-    coordinate_grid,
-    signed_circle_difference,
-)
+from .geometry import CIRCLE, INTERVAL, PROJECTIVE, coordinate_grid, distance, signed_circle_difference
 from .systems import SystemSpec, WordStream, iterate
 from .util import RefusalError, parallel_map, weighted_median
 
@@ -86,12 +78,6 @@ class EmpiricalMeasure:
     def n_atoms(self) -> int:
         return int(self.atoms.shape[0])
 
-    @classmethod
-    def dirac(cls, x, space: str = INTERVAL) -> "EmpiricalMeasure":
-        if space == PROJECTIVE:
-            return cls(np.asarray(x, dtype=float).reshape(1, -1), None, space)
-        return cls(np.array([float(x)]), None, space)
-
     def mean_of(self, fn) -> float:
         """Integral of a function against the measure."""
         return float(np.sum(np.asarray(fn(self.atoms), dtype=float) * self.weights))
@@ -127,7 +113,7 @@ def markov_push(system: SystemSpec, m: EmpiricalMeasure) -> EmpiricalMeasure:
 
 def _default_x0(system: SystemSpec):
     if system.space == PROJECTIVE:
-        probe = np.zeros(system.maps[0].dim)
+        probe = np.zeros(system.dim)
         probe[0] = 1.0
         return probe
     return 0.5
@@ -261,8 +247,8 @@ def _common_fixed_points(system: SystemSpec, points: int = 4096) -> tuple:
                 candidates.append(edge)
     common = []
     for x in candidates:
-        if all(base_distance(system.space, float(f(x)), x) < 1e-9 for f in system.maps):
-            if not any(base_distance(system.space, x, y) < 1e-9 for y in common):
+        if all(distance(system.space, float(f(x)), x) < 1e-9 for f in system.maps):
+            if not any(distance(system.space, x, y) < 1e-9 for y in common):
                 common.append(x)
     return tuple(sorted(common))
 
@@ -304,8 +290,7 @@ def atom_diagnostic(
     fixed = _common_fixed_points(system)
     n_eff = 1.0 / float(np.sum(m.weights**2))
     for x in fixed:
-        xr = x % 1.0 if m.space == CIRCLE else x
-        mass = float(np.sum(m.weights[coordinate_distance(m.space, m.atoms, xr) <= radius]))
+        mass = float(np.sum(m.weights[distance(m.space, m.atoms, x) <= radius]))
         if mass >= dirac_mass:
             return AtomDiagnostic("dirac_at_common_fixed_point", fixed, mass, dirac_mass, n_eff)
     p_ball = min(1.0, 2.0 * radius)

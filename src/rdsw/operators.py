@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import CIRCLE, PROJECTIVE, coordinate_grid, signed_circle_difference
+from .geometry import CIRCLE, PROJECTIVE, coordinate_grid, distance, signed_circle_difference
 from .systems import SystemSpec, TabulatedMap, ensemble_apply, word_matrix, word_weights
 from .util import RefusalError, fmt
 
@@ -440,7 +440,7 @@ def holder_norm(
         sup = max(sup, float(np.abs(v).max()))
         if space == CIRCLE:
             for s in range(1, grid_k // 2 + 1):
-                d = min(s, grid_k - s) / grid_k
+                d = distance(CIRCLE, xs[0], xs[s])
                 semi = max(semi, float(np.abs(v - np.roll(v, s)).max()) / d**alpha)
         else:
             h = 1.0 / (grid_k - 1)

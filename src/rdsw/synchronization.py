@@ -12,17 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    CIRCLE,
-    PROJECTIVE,
-    base_distance,
-    coordinate_distance,
-    projective_distance,
-)
-from .systems import SystemSpec, WordStream, _as_unit_vector, _resolve_word, ensemble_apply_many, iterate
+from .geometry import CIRCLE, PROJECTIVE, distance
+from .systems import SystemSpec, WordStream, _resolve_word, _start_state, ensemble_apply_many, iterate
 from .util import RefusalError, Z99, linear_fit
 
 __all__ = [
+    "SYNC_STREAM",
     "SyncTrace",
     "RateFit",
     "AverageSyncResult",
@@ -38,6 +33,7 @@ __all__ = [
 
 DISTANCE_FLOOR = 1e-14
 
+SYNC_STREAM = 3 << 16  # stream id of the word behind a sync-rate trace
 _AVG_BASE = 3 << 16
 _LCP_BASE = (3 << 16) | 1
 _CAS_BASE = (3 << 16) | 2
@@ -54,10 +50,6 @@ class SyncTrace:
     y: object
     seed: int | None
     stream_id: int | None
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.distances.shape[0]) - 1
 
 
 @dataclass(frozen=True)
@@ -117,14 +109,7 @@ def paired_orbit(system: SystemSpec, x, y, word, n: int) -> SyncTrace:
     sid = word.stream_id if isinstance(word, WordStream) else None
     xs = iterate(system, x, symbols, n)
     ys = iterate(system, y, symbols, n)
-    if system.space == PROJECTIVE:
-        out = np.array([projective_distance(a, b) for a, b in zip(xs, ys)])
-        return SyncTrace(out, x, y, seed, sid)
-    if system.space == CIRCLE:
-        # map outputs are already reduced; only the starting pair may not be
-        xs[0] %= 1.0
-        ys[0] %= 1.0
-    return SyncTrace(coordinate_distance(system.space, xs, ys), float(x), float(y), seed, sid)
+    return SyncTrace(distance(system.space, xs, ys), x, y, seed, sid)
 
 
 def fit_sync_rate(trace: SyncTrace, floor: float = DISTANCE_FLOOR) -> RateFit:
@@ -167,26 +152,15 @@ def average_sync_sum(
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     stream = system.word_stream(seed, _AVG_BASE)
+    a0 = _start_state(system, x)
+    b0 = _start_state(system, y)
+    av = np.full((replicas, *np.shape(a0)), a0)
+    bv = np.full((replicas, *np.shape(b0)), b0)
     means = np.empty(n + 1)
-    if system.space == PROJECTIVE:
-        a0 = _as_unit_vector(x)
-        b0 = _as_unit_vector(y)
-        av = np.tile(a0, (replicas, 1))
-        bv = np.tile(b0, (replicas, 1))
-        means[0] = projective_distance(a0, b0) ** alpha
-        for step, row in enumerate(stream.rows(n, replicas), 1):
-            ensemble_apply_many(system, (av, bv), row)
-            g = np.einsum("ij,ij->i", av, bv)
-            d = np.sqrt(np.maximum(0.0, 1.0 - g * g))
-            means[step] = float(np.mean(d**alpha))
-    else:
-        av = np.full(replicas, float(x))
-        bv = np.full(replicas, float(y))
-        means[0] = base_distance(system.space, float(x), float(y)) ** alpha
-        for step, row in enumerate(stream.rows(n, replicas), 1):
-            ensemble_apply_many(system, (av, bv), row)
-            d = coordinate_distance(system.space, av, bv)
-            means[step] = float(np.mean(d**alpha))
+    means[0] = distance(system.space, a0, b0) ** alpha
+    for step, row in enumerate(stream.rows(n, replicas), 1):
+        ensemble_apply_many(system, (av, bv), row)
+        means[step] = float(np.mean(distance(system.space, av, bv) ** alpha))
     sums = np.cumsum(means)
     m0 = int(math.floor(0.9 * n))
     total = float(sums[-1])
@@ -249,7 +223,7 @@ def local_contraction_probe(
 
 
 def _projective_ball(system: SystemSpec, x, radius: float, count: int) -> np.ndarray:
-    center = _as_unit_vector(x)
+    center = _start_state(system, x)
     d = center.size
     phi_max = math.asin(min(1.0, radius))
     ts = np.linspace(-1.0, 1.0, count)
@@ -294,7 +268,7 @@ def contraction_on_average_search(
     if system.space == PROJECTIVE:
         raise RefusalError("pair construction is defined for 1-D phase spaces")
     xs, ys = _make_pairs(system.space, pairs, WordStream(seed, _CAS_PAIRS, (1.0,)))
-    d0 = coordinate_distance(system.space, xs, ys)
+    d0 = distance(system.space, xs, ys)
     keep = d0 >= 1e-12
     xs, ys, d0 = xs[keep], ys[keep], d0[keep]
     p = xs.size
@@ -303,7 +277,7 @@ def contraction_on_average_search(
     stream = system.word_stream(seed, _CAS_BASE)
     for row in stream.rows(horizon, p * replicas):
         ensemble_apply_many(system, (av, bv), row)
-    dk = coordinate_distance(system.space, av, bv).reshape(p, replicas)
+    dk = distance(system.space, av, bv).reshape(p, replicas)
     lambdas = np.empty(alphas.size)
     ubs = np.empty(alphas.size)
     for j, al in enumerate(alphas):
@@ -374,7 +348,7 @@ def proximality_probe(
     stream = system.word_stream(seed, _PROX_BASE)
     for row in stream.rows(horizon, p * replicas):
         ensemble_apply_many(system, (xs, ys), row)
-        np.minimum(best, coordinate_distance(system.space, xs, ys), out=best)
+        np.minimum(best, distance(system.space, xs, ys), out=best)
     mins = best.reshape(p, replicas).min(axis=1)
     out = []
     for (a, b), mn in zip(pair_grid, mins):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CIRCLE, INTERVAL, PROJECTIVE, coordinate_grid
+from .geometry import CIRCLE, INTERVAL, PROJECTIVE, coordinate_grid, mod1
 from .util import BudgetExceededError
 
 __all__ = [
@@ -48,12 +48,6 @@ _FLOAT_MAX = sys.float_info.max
 def _is_finite_real(v) -> bool:
     """A Python or numpy int or float, not a bool, that is a finite float."""
     return isinstance(v, _REALS) and not isinstance(v, bool) and -_FLOAT_MAX <= v <= _FLOAT_MAX
-
-
-def _mod1(x):
-    """x % 1.0 bit for bit (a float's fraction is exact, and x - floor(x) rounds
-    1 - f as fmod(x, 1) + 1 does), without numpy's slow remainder loop."""
-    return x - np.floor(x)
 
 
 def _finite(name: str, value) -> float:
@@ -100,10 +94,11 @@ class MapSpec:
     evaluator; ``deriv`` is the signed derivative of the lift. A family with a
     coefficient table names in ``_table`` the class whose static
     ``_image(x, *row)``/``_slope(x, *row)`` are its formula, and gives its
-    coefficients as ``table_row()``. ``__call__``/``deriv`` evaluate that
-    formula on the map's own row, and ``ensemble_apply`` on the rows gathered
-    by each state's symbol, so both paths round alike. A map without a table
-    (``_table`` None) steps ensembles through its own ``__call__``/``deriv``.
+    coefficients as ``table_row()``. The ``__call__``/``deriv`` defined here
+    evaluate that formula on the map's own row, and ``ensemble_apply`` on the
+    rows gathered by each state's symbol, so both paths round alike. A family
+    without a table (``_table`` None) defines its own ``__call__``/``deriv``,
+    which also step its ensembles.
     ``scalar_fn`` returns a plain-float closure that ``iterate`` uses for
     single orbits because it is several times faster per call. The two paths
     agree bit for bit except on Moebius maps, whose ``math`` and numpy
@@ -116,10 +111,10 @@ class MapSpec:
     _table = None
 
     def __call__(self, x):
-        raise NotImplementedError
+        return self._table._image(np.asarray(x, dtype=float), *self.table_row())
 
     def deriv(self, x):
-        raise NotImplementedError
+        return self._table._slope(np.asarray(x, dtype=float), *self.table_row())
 
     def params(self) -> dict:
         out = {"family": self.family}
@@ -176,12 +171,6 @@ class AffineMap(MapSpec):
     def _slope(x, a, b):
         return np.full_like(x, a)
 
-    def __call__(self, x):
-        return self._image(np.asarray(x, dtype=float), *self.table_row())
-
-    def deriv(self, x):
-        return self._slope(np.asarray(x, dtype=float), *self.table_row())
-
     def scalar_fn(self):
         a, b = self.a, self.b
         return lambda x: min(1.0, max(0.0, a * x + b))
@@ -194,8 +183,8 @@ class AffineMap(MapSpec):
 class Rotation(MapSpec):
     """x -> x + c mod 1 on the circle.
 
-    In an ensemble it joins the perturbed-rotation table with amp 0, which is
-    bit-identical: x + c + 0.0 * sin(.) == x + c and 1 + 0.0 * cos(.) == 1.
+    It evaluates as the perturbed rotation with amp 0, which is bit-identical:
+    x + c + 0.0 * sin(.) == x + c and 1 + 0.0 * cos(.) == 1.
     """
 
     family = "rotation"
@@ -206,12 +195,6 @@ class Rotation(MapSpec):
 
     def table_row(self) -> tuple:
         return (self.c, 0.0, _TWO_PI, 0.0, 0.0)
-
-    def __call__(self, x):
-        return _mod1(np.asarray(x, dtype=float) + self.c)
-
-    def deriv(self, x):
-        return np.ones_like(np.asarray(x, dtype=float))
 
     def scalar_fn(self):
         c = self.c
@@ -256,17 +239,11 @@ class PerturbedRotation(MapSpec):
 
     @staticmethod
     def _image(x, *row):
-        return _mod1(PerturbedRotation._lift(x, *row))
+        return mod1(PerturbedRotation._lift(x, *row))
 
     @staticmethod
     def _slope(x, c, k, w, amp, phase):
         return 1.0 + amp * np.cos(w * x + phase)
-
-    def __call__(self, x):
-        return self._image(np.asarray(x, dtype=float), *self.table_row())
-
-    def deriv(self, x):
-        return self._slope(np.asarray(x, dtype=float), *self.table_row())
 
     def scalar_fn(self):
         c, k, w, _, ph = self.table_row()
@@ -313,18 +290,12 @@ class MoebiusMap(MapSpec):
     @staticmethod
     def _image(x, m00, m01, m10, m11, det):
         u, v = MoebiusMap._uv(x, m00, m01, m10, m11)
-        return _mod1(np.arctan2(v, u) / math.pi)
+        return mod1(np.arctan2(v, u) / math.pi)
 
     @staticmethod
     def _slope(x, m00, m01, m10, m11, det):
         u, v = MoebiusMap._uv(x, m00, m01, m10, m11)
         return det / (u * u + v * v)
-
-    def __call__(self, x):
-        return self._image(np.asarray(x, dtype=float), *self.table_row())
-
-    def deriv(self, x):
-        return self._slope(np.asarray(x, dtype=float), *self.table_row())
 
     def scalar_fn(self):
         m00, m01, m10, m11, _ = self.table_row()
@@ -545,21 +516,27 @@ def _groups(maps) -> list:
 class SystemSpec:
     """A finite family of maps of one phase space plus map probabilities.
 
-    Validation: at most ``MAX_MAPS`` maps, matching spaces, probabilities
-    positive and summing to 1 within 1e-12, and (for 1-D spaces) every map
-    checked on a 2048-point grid for range containment and a derivative
-    bounded away from zero whenever the family provides one.
+    Validation: at most ``MAX_MAPS`` maps, matching spaces (and, on
+    projective space, one dimension ``dim``), probabilities positive and
+    summing to 1 within 1e-12, and (for 1-D spaces) every map checked on a
+    2048-point grid for range containment and a derivative bounded away from
+    zero whenever the family provides one. Each error message starts with the
+    argument at fault: ``maps``, ``maps[i]`` or ``probs``.
     """
 
     def __init__(self, maps, probs, name: str = "", check: bool = True):
         maps = tuple(maps)
         if not maps:
-            raise ValueError("a system needs at least one map")
+            raise ValueError("maps: a system needs at least one map")
         if len(maps) > MAX_MAPS:
-            raise ValueError(f"a system has at most {MAX_MAPS} maps (int8 symbols), got {len(maps)}")
+            raise ValueError(f"maps: a system has at most {MAX_MAPS} maps (int8 symbols), got {len(maps)}")
         spaces = {m.space for m in maps}
         if len(spaces) != 1:
-            raise ValueError(f"all maps must share one phase space, got {sorted(spaces)}")
+            raise ValueError(f"maps: all maps must share one phase space, got {sorted(spaces)}")
+        self.dim = maps[0].dim if maps[0].space == PROJECTIVE else None
+        for i, m in enumerate(maps):
+            if self.dim is not None and m.dim != self.dim:
+                raise ValueError(f"maps[{i}]: dimension {m.dim} differs from the {self.dim} of maps[0]")
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (len(maps),):
             raise ValueError("probs must align with maps")
@@ -585,16 +562,16 @@ class SystemSpec:
 
     def _grid_check(self, points: int = 2048):
         g = coordinate_grid(self.space, points)
-        for m in self.maps:
+        for i, m in enumerate(self.maps):
             y = np.asarray(m(g), dtype=float)
             if self.space == INTERVAL and (y.min() < -1e-9 or y.max() > 1.0 + 1e-9):
-                raise ValueError(f"{m!r} leaves the interval on the check grid")
+                raise ValueError(f"maps[{i}]: {m!r} leaves the interval on the check grid")
             if m.has_derivative:
                 d = np.asarray(m.deriv(g), dtype=float)
                 if d.min() <= 0.0 and d.max() >= 0.0:
-                    raise ValueError(f"{m!r} derivative changes sign on the check grid")
+                    raise ValueError(f"maps[{i}]: {m!r} derivative changes sign on the check grid")
                 if np.min(np.abs(d)) < 1e-9:
-                    raise ValueError(f"{m!r} derivative is not bounded away from zero")
+                    raise ValueError(f"maps[{i}]: {m!r} derivative is not bounded away from zero")
 
     def _select(self, srow: np.ndarray):
         """Yield (states, symbols, group) for each group that srow uses, one
@@ -708,31 +685,33 @@ def iterate(system: SystemSpec, x0, word, n: int) -> np.ndarray:
     """Run n steps from x0 driven by a word or a WordStream.
 
     Returns the full orbit X_0..X_n: an (n+1,) array on the circle or the
-    interval, (n+1, d) unit rows on projective space (x0 is normalised and
-    may not be the zero vector). This is the library's one single-orbit loop;
-    it is bit-for-bit reproducible for equal inputs.
+    interval, (n+1, d) unit rows on projective space (x0 is normalised, and
+    must have d coordinates, not all zero). This is the library's one
+    single-orbit loop; it is bit-for-bit reproducible for equal inputs.
     """
     symbols = _resolve_word(system, word, n).tolist()
-    if system.space == PROJECTIVE:
-        x = _as_unit_vector(x0)
-        points = np.empty((n + 1, x.size), dtype=float)
-        points[0] = x
-        for k, s in enumerate(symbols):
-            x = system.maps[s](x)
-            points[k + 1] = x
-        return points
-    fns = [m.scalar_fn() for m in system.maps]
-    points = np.empty(n + 1, dtype=float)
-    x = float(x0)
+    x = _start_state(system, x0)
+    points = np.empty((n + 1, *np.shape(x)), dtype=float)
     points[0] = x
+    fns = system.maps if system.space == PROJECTIVE else [m.scalar_fn() for m in system.maps]
     for k, s in enumerate(symbols):
         x = fns[s](x)
         points[k + 1] = x
     return points
 
 
-def _as_unit_vector(x0) -> np.ndarray:
+def _start_state(system: SystemSpec, x0):
+    """A starting point of ``system``: a float on the circle or the interval
+    (not reduced), a unit vector of length ``system.dim`` on projective space."""
+    if system.space == PROJECTIVE:
+        return _as_unit_vector(x0, system.dim)
+    return float(x0)
+
+
+def _as_unit_vector(x0, dim: int) -> np.ndarray:
     v = np.asarray(x0, dtype=float).reshape(-1)
+    if v.size != dim:
+        raise ValueError(f"a projective start needs {dim} coordinates, got {v.size}")
     nrm = float(np.linalg.norm(v))
     if nrm < 1e-12:
         raise ValueError("projective state cannot be the zero vector")

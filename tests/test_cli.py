@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -110,6 +111,12 @@ def _inline_binary(first_map: dict, **system_keys) -> dict:
     }
 
 
+_PROJECTIVE_PLANE = {
+    "maps": [{"family": "projective", "matrix": [[2.0, 0.0], [0.0, 0.5]]}, {"family": "projective", "matrix": [[0.0, -1.0], [1.0, 0.0]]}],
+    "probs": [0.5, 0.5],
+}
+
+
 @pytest.mark.parametrize(
     "payload, expected",
     [
@@ -181,6 +188,24 @@ def _inline_binary(first_map: dict, **system_keys) -> dict:
             {"command": "cocycle", "cocycle": {"matrices": [[[2.0, 0.0], [0.0, 0.5]]] * 128, "probs": [1 / 128] * 128}},
             "config error: cocycle.matrices: at most 127 matrices",
         ),
+        (
+            {
+                "command": "stationary",
+                "system": {
+                    "maps": [{"family": "projective", "matrix": [[2.0, 0.0], [0.0, 0.5]]}, {"family": "projective", "matrix": np.eye(3).tolist()}],
+                    "probs": [0.5, 0.5],
+                },
+            },
+            "config error: system.maps[1]: dimension 3 differs from the 2 of maps[0]",
+        ),
+        (
+            {"command": "stationary", "system": _PROJECTIVE_PLANE, "params": {"samples": 100, "x0": 0.3}},
+            "config error: params.x0: a projective start needs 2 coordinates, got 1",
+        ),
+        (
+            {"command": "sync", "system": _PROJECTIVE_PLANE, "params": {"n": 10}},
+            "config error: params.x: a projective start needs 2 coordinates, got 1",
+        ),
     ],
     ids=[
         "missing-key",
@@ -200,6 +225,9 @@ def _inline_binary(first_map: dict, **system_keys) -> dict:
         "huge-int-cocycle-prob",
         "too-many-maps",
         "too-many-matrices",
+        "projective-dimensions",
+        "projective-real-x0",
+        "projective-real-sync-start",
     ],
 )
 def test_inline_construction_errors_name_the_field(tmp_path, capsys, payload, expected):
@@ -208,6 +236,14 @@ def test_inline_construction_errors_name_the_field(tmp_path, capsys, payload, ex
     err = capsys.readouterr().err
     print(err)
     assert expected in err and len(err.strip().splitlines()) == 1
+
+
+def test_ld_accepts_unreduced_circle_starts(tmp_path):
+    """Circle starts need not lie in [0, 1): 1.9 is the point 0.9, 0.2 from 0.1."""
+    payload = {"system": "moebius_pair", "params": {"x0": 1.9, "y": 0.1, "horizons": [8], "replicas": 1000}}
+    cfg = _write_config(tmp_path, "ld.json", payload)
+    assert main(["ld", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "ld.csv").is_file()
 
 
 def test_output_must_be_a_string(tmp_path, capsys, monkeypatch):

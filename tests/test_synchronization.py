@@ -9,7 +9,7 @@ import pytest
 
 from rdsw.cocycles import CocycleSpec, cocycle_gallery, cocycle_gallery_ids, projective_system
 from rdsw.gallery import gallery, gallery_ids
-from rdsw.geometry import CIRCLE, projective_distance
+from rdsw.geometry import CIRCLE, PROJECTIVE, distance
 from rdsw.synchronization import (
     average_sync_sum,
     contraction_on_average_search,
@@ -71,12 +71,12 @@ def _reference_projective_distances(system, x, y, symbols):
     """The per-step projective loop paired_orbit must reproduce bit for bit."""
     a = np.asarray(x, dtype=float) / float(np.linalg.norm(x))
     b = np.asarray(y, dtype=float) / float(np.linalg.norm(y))
-    out = [projective_distance(a, b)]
+    out = [distance(PROJECTIVE, a, b)]
     for s in symbols:
         f = system.maps[s]
         a = f(a)
         b = f(b)
-        out.append(projective_distance(a, b))
+        out.append(distance(PROJECTIVE, a, b))
     return np.array(out)
 
 
@@ -145,6 +145,20 @@ def test_average_sync_sum_anton_grows_linearly():
     print(f"anton averaged sums grow {slope:.4f} per step; bounded={r.bounded}")
     assert not r.bounded
     assert slope >= 0.375, "separated arcs keep the pair at least 3/8 apart"
+
+
+def test_average_sync_sum_steps_every_space_alike():
+    """Step 0 is the distance of the starting pair, reduced on the circle and
+    normalised on projective space; isometries keep it at every step."""
+    rotations = gallery("two_rotations")
+    r = average_sync_sum(rotations, 1.9, 0.1, alpha=0.5, n=5, replicas=100)
+    assert r.partial_sums[0] == distance(CIRCLE, 1.9, 0.1) ** 0.5
+    assert np.allclose(np.diff(r.partial_sums), 0.2**0.5, atol=1e-12)
+    lines = projective_system(cocycle_gallery("rotation_only"))
+    a, b = np.array([2.0, 0.0]), np.array([1.0, 1.0])
+    r = average_sync_sum(lines, a, b, alpha=1.0, n=5, replicas=100)
+    assert r.partial_sums[0] == distance(PROJECTIVE, a / 2.0, b / np.linalg.norm(b))
+    assert np.allclose(np.diff(r.partial_sums), math.sqrt(0.5), atol=1e-12)
 
 
 def test_local_contraction_probe_binary_certain():

@@ -12,7 +12,7 @@ import pytest
 
 import rdsw
 from rdsw.gallery import gallery, gallery_ids
-from rdsw.geometry import CIRCLE, INTERVAL, circle_distance
+from rdsw.geometry import CIRCLE, INTERVAL, distance
 from rdsw.cocycles import CocycleSpec
 from rdsw.systems import (
     MAX_MAPS,
@@ -107,6 +107,17 @@ def test_system_validation_messages():
 
     with pytest.raises(ValueError, match="leaves the interval"):
         SystemSpec([Escapes()], (1.0,))
+
+
+def test_projective_dimensions_are_checked():
+    plane, space = ProjectiveMap(np.eye(2)), ProjectiveMap(np.eye(3))
+    with pytest.raises(ValueError, match=r"maps\[1\]: dimension 3 differs from the 2 of maps\[0\]"):
+        SystemSpec([plane, space], (0.5, 0.5))
+    sys = SystemSpec([space], (1.0,))
+    assert sys.dim == 3
+    with pytest.raises(ValueError, match="a projective start needs 3 coordinates, got 2"):
+        iterate(sys, [1.0, 0.0], [0], 1)
+    assert iterate(sys, [0.0, 2.0, 0.0], [0], 1).tolist() == [[0.0, 1.0, 0.0]] * 2
 
 
 def test_map_from_params_round_trip():
@@ -261,7 +272,7 @@ def test_scalar_orbit_matches_ensemble_step_bitwise(name):
         ensemble.append(xs[0])
     ensemble = np.array(ensemble)
     if sys.name == "moebius_pair":
-        assert max(circle_distance(a, b) for a, b in zip(scalar, ensemble)) <= 1e-15
+        assert max(distance(CIRCLE, a, b) for a, b in zip(scalar, ensemble)) <= 1e-15
     else:
         assert np.array_equal(scalar.view(np.uint64), ensemble.view(np.uint64))
 
