@@ -1,7 +1,8 @@
 """Golden digests: the same seed gives the same bytes across code changes.
 
 Every CLI command runs at a small config, in csv and in json, plus inline
-systems of each map family, ``rdsw gallery`` and one verify case. The sha256
+systems of each map family, ``rdsw gallery`` and the verify cases that cover
+the exact word enumeration, the Ulam battery and the sync-rate battery. The sha256
 of each result file, and of ``manifest.json`` without ``wall_time_s``, must
 equal ``tests/golden.json`` under the key of the installed numpy and scipy
 (the manifest's python version is left out with them). Re-record only in a
@@ -87,6 +88,9 @@ _INLINE = {
     "inline-tabulated-circle-ulam": ("ulam", {"system": _TABULATED_CIRCLE, "params": {"k_cells": 32}}),
     "inline-projective-stationary": ("stationary", {"system": _PROJECTIVE, "params": {"burn_in": 50, "samples": 500}}),
     "verify-sync-rate-battery": ("verify", {"case": "sync-rate-battery"}),
+    "verify-ld-exact-handoff": ("verify", {"case": "ld-exact-handoff"}),
+    "verify-sync-ld-identity": ("verify", {"case": "sync-ld-identity"}),
+    "verify-ulam-battery": ("verify", {"case": "ulam-battery"}),
 }
 
 
