@@ -49,7 +49,7 @@ from .measures import atom_diagnostic, estimate_stationary
 from .operators import build_laplace_markov, build_transfer_ulam, leading_eigen, spectral_gap, subleading_decay
 from .synchronization import SYNC_STREAM, average_sync_sum, fit_sync_rate, paired_orbit
 from .systems import MAX_MAPS, SystemSpec, _is_finite_real, _start_state, map_from_params
-from .util import BudgetExceededError, OverflowGuardError, RefusalError, fmt
+from .util import ArgumentError, BudgetExceededError, OverflowGuardError, RefusalError, fmt
 
 __all__ = ["main"]
 
@@ -507,10 +507,13 @@ def _cmd_ld(run: _Run, sys_: SystemSpec, p: dict):
     )
     if p["exact_budget"] is not None:
         kv["exact_budget"] = p["exact_budget"]
-    if p["y"] is None:
-        curve = ld_curve(sys_, x0=p["x0"], **kv)
-    else:
-        curve = sync_ld_curve(sys_, p["x0"], p["y"], **kv)
+    try:
+        if p["y"] is None:
+            curve = ld_curve(sys_, x0=p["x0"], **kv)
+        else:
+            curve = sync_ld_curve(sys_, p["x0"], p["y"], **kv)
+    except ArgumentError as e:  # the curve builders name the argument at fault first
+        raise ConfigError(f"params.{e}") from e
     run.blob("ld.csv", curve.to_csv().encode())
     flagged = [int(n) for n, f in zip(curve.horizons, curve.flagged_horizons) if f]
     run.table(

@@ -17,8 +17,8 @@ import numpy as np
 
 from .geometry import CIRCLE, coordinate_grid, distance
 from .measures import estimate_stationary
-from .systems import SystemSpec, ensemble_apply, ensemble_apply_many, word_matrix, word_weights
-from .util import RefusalError, fmt, linear_fit, wilson_interval
+from .systems import WORD_BUDGET, SystemSpec, ensemble_apply, ensemble_apply_many, word_levels
+from .util import ArgumentError, RefusalError, fmt, linear_fit, wilson_interval
 
 __all__ = [
     "GammaEstimate",
@@ -180,8 +180,9 @@ def _fit_rates(epsilons, horizons, probs):
 def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_budget):
     """Shared engine: per horizon, exact word enumeration or MC, same streams.
 
-    ``stat_builder(m, rows, n)`` runs m words at once from an iterable of n
-    symbol rows: the columns of the word matrix, or the stream's rows.
+    ``stat_builder(rows, n)`` runs the words of an iterable of n symbol rows:
+    the levels of the word tree, or the stream's rows. Its states widen by
+    ``np.repeat`` whenever a row is wider than them, so one loop serves both.
     """
     ne, nh = len(epsilons), len(horizons)
     probs = np.zeros((ne, nh))
@@ -193,23 +194,27 @@ def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_bu
     for j, n in enumerate(horizons):
         n = int(n)
         if system.n_maps**n <= exact_budget:
-            words = word_matrix(system, n, budget=exact_budget)
-            weights = word_weights(system, words)
-            # contiguous int8 columns: the loop holds one row while the next is made
-            rows = (words[:, k].copy() for k in range(n))
-            stats, cens = stat_builder(words.shape[0], rows, n)
+            levels = word_levels(system, n, budget=exact_budget)
+            weights = np.ones(1)
+
+            def rows():
+                nonlocal weights
+                for srow, weights in levels:
+                    yield srow
+
+            stats, cens = stat_builder(rows(), n)
             exact[j] = True
             censored[j] = float(np.sum(weights[cens])) if cens is not None else 0.0
             stats_means[j] = float(np.sum(stats * weights))
+            dev = stat_builder.deviation(stats)
             for i, eps in enumerate(epsilons):
-                mask = stat_builder.deviation(stats) > eps
-                p = float(np.sum(weights[mask]))
+                p = float(np.sum(weights[dev > eps]))
                 probs[i, j] = p
                 ci_low[i, j] = p
                 ci_high[i, j] = p
         else:
             stream = system.word_stream(seed, _LD_BASE + j)
-            stats, cens = stat_builder(replicas, stream.rows(n, replicas), n)
+            stats, cens = stat_builder(stream.rows(n, replicas), n)
             censored[j] = float(np.mean(cens)) if cens is not None else 0.0
             stats_means[j] = float(np.mean(stats))
             dev = stat_builder.deviation(stats)
@@ -223,6 +228,12 @@ def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_bu
     return probs, ci_low, ci_high, exact, censored, stats_means
 
 
+def _widen(arrays, width: int) -> tuple:
+    """Each word's states repeated for each of its children, once a row is wider."""
+    size = arrays[0].size
+    return tuple(np.repeat(a, width // size) for a in arrays) if width > size else arrays
+
+
 class _DerivStat:
     """Word statistic: (1/n) sum of log |f'| along the orbit from x0."""
 
@@ -231,10 +242,10 @@ class _DerivStat:
         self.x0 = float(x0)
         self.gamma_hat = float(gamma_hat)
 
-    def __call__(self, m, rows, n):
-        x = np.full(m, self.x0)
-        ld = np.zeros(m)
+    def __call__(self, rows, n):
+        x, ld = np.full(1, self.x0), np.zeros(1)
         for row in rows:
+            x, ld = _widen((x, ld), row.size)
             ensemble_apply(self.system, x, row, log_deriv=ld)
         return ld / n, None
 
@@ -251,13 +262,13 @@ class _SyncStat:
         self.y = float(y)
         self.gamma_hat = float(gamma_hat)
 
-    def __call__(self, m, rows, n):
-        av = np.full(m, self.x)
-        bv = np.full(m, self.y)
+    def __call__(self, rows, n):
+        av, bv = np.full(1, self.x), np.full(1, self.y)
         d0 = distance(self.system.space, av, bv)
         if np.any(d0 <= 0.0):
             raise ValueError("sync deviation statistic needs x != y")
         for row in rows:
+            av, bv = _widen((av, bv), row.size)
             ensemble_apply_many(self.system, (av, bv), row)
         dn = distance(self.system.space, av, bv)
         cens = dn < CENSOR_FLOOR
@@ -268,10 +279,20 @@ class _SyncStat:
         return np.abs(stats - self.gamma_hat)
 
 
+def _check_exact_budget(exact_budget: int) -> None:
+    if exact_budget > WORD_BUDGET:
+        raise ArgumentError(f"exact_budget: at most WORD_BUDGET = {WORD_BUDGET} words, got {exact_budget}")
+
+
 def _build_curve(system, builder, epsilons, horizons, replicas, seed, gamma_hat, exact_budget):
-    epsilons = np.asarray(
-        default_epsilons(gamma_hat) if epsilons is None else np.asarray(epsilons, dtype=float)
-    )
+    if epsilons is None:
+        epsilons = default_epsilons(gamma_hat)
+        if not np.all(epsilons > 0.0):
+            raise ArgumentError(
+                "epsilons: required, since the default ladder 0.05..0.5 |gamma_hat| scales with "
+                f"|gamma_hat|, which is {abs(gamma_hat)!r} here"
+            )
+    epsilons = np.asarray(epsilons, dtype=float)
     if epsilons.ndim != 1 or epsilons.size == 0 or np.any(epsilons <= 0.0):
         raise ValueError("epsilons must be a nonempty positive 1-D ladder")
     horizons = np.asarray(DEFAULT_HORIZONS if horizons is None else horizons, dtype=np.int64)
@@ -315,11 +336,12 @@ def ld_curve(
 ) -> LDCurve:
     """Large-deviation curve of the derivative statistic around gamma_hat.
 
-    Exact enumeration whenever N^n fits exact_budget, else Monte Carlo with
-    Wilson bands; pass gamma_hat to pin the centering (otherwise a seeded
-    internal estimate is used). Epsilons default to the 0.05..0.5 |gamma|
-    ladder.
+    Exact enumeration whenever N^n fits exact_budget (at most WORD_BUDGET),
+    else Monte Carlo with Wilson bands; pass gamma_hat to pin the centering
+    (otherwise a seeded internal estimate is used). Epsilons default to the
+    0.05..0.5 |gamma| ladder, which needs gamma != 0.
     """
+    _check_exact_budget(exact_budget)
     if not all(m.has_derivative for m in system.maps):
         raise RefusalError("ld_curve needs derivative support for every map")
     g = _resolve_gamma(system, x0, seed, gamma_hat)
@@ -347,6 +369,7 @@ def sync_ld_curve(
     report also carries the gap between the mean statistic at the largest
     usable horizon and gamma_hat (the first-assertion check).
     """
+    _check_exact_budget(exact_budget)
     if float(x) == float(y):
         raise ValueError("sync_ld_curve needs two distinct starting points")
     g = _resolve_gamma(system, x, seed, gamma_hat)

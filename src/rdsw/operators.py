@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import CIRCLE, PROJECTIVE, coordinate_grid, distance, signed_circle_difference
-from .systems import SystemSpec, TabulatedMap, ensemble_apply, word_matrix, word_weights
+from .systems import SystemSpec, TabulatedMap, ensemble_apply, word_levels
 from .util import RefusalError, fmt
 
 __all__ = [
@@ -389,12 +389,12 @@ def qn_identity_test(
     if not 0 <= j < system.n_maps:
         raise ValueError(f"symbol j={j} out of range")
     y0 = float(system.maps[j](float(x)))
-    words = word_matrix(system, n)
-    weights = word_weights(system, words)
-    pos = np.full(words.shape[0], y0)
-    for c in range(n - 1):
-        ensemble_apply(system, pos, words[:, c])
-    kernel = float(np.sum(weights * np.asarray(phi(words[:, n - 1], pos), dtype=float)))
+    pos = np.full(1, y0)
+    for k, (srow, weights) in enumerate(word_levels(system, n), start=1):
+        pos = np.repeat(pos, system.n_maps)
+        if k < n:  # the last symbols go to phi, not to the map
+            ensemble_apply(system, pos, srow)
+    kernel = float(np.sum(weights * np.asarray(phi(srow, pos), dtype=float)))
     stream = system.word_stream(seed, _QN_BASE)
     symbols = stream.draw(n * replicas).reshape(n, replicas)
     mpos = np.full(replicas, y0)

@@ -32,7 +32,7 @@ __all__ = [
     "WordStream",
     "iterate",
     "word_matrix",
-    "word_weights",
+    "word_levels",
     "ensemble_apply",
     "ensemble_apply_many",
 ]
@@ -718,29 +718,49 @@ def _as_unit_vector(x0, dim: int) -> np.ndarray:
     return v / nrm
 
 
-def word_matrix(system: SystemSpec, n: int, budget: int = WORD_BUDGET) -> np.ndarray:
-    """All length-n words as an (N^n, n) int8 matrix in enumeration order."""
-    nmaps = system.n_maps
-    total = nmaps**n
+def _check_word_budget(system: SystemSpec, n: int, budget: int) -> None:
+    total = system.n_maps**n
     if total > budget:
         raise BudgetExceededError(
             f"exact enumeration needs N^n = {total} words, over the budget of {budget}; "
             "use Monte Carlo sampling instead"
         )
-    idx = np.arange(total, dtype=np.int64)
-    out = np.empty((total, n), dtype=np.int8)
+
+
+def word_matrix(system: SystemSpec, n: int, budget: int = WORD_BUDGET) -> np.ndarray:
+    """All length-n words as an (N^n, n) int8 matrix in enumeration order
+    (the first symbol most significant)."""
+    _check_word_budget(system, n, budget)
+    nmaps = system.n_maps
+    idx = np.arange(nmaps**n, dtype=np.int64)
+    out = np.empty((idx.size, n), dtype=np.int8)
     for j in range(n):
         out[:, j] = (idx // (nmaps ** (n - 1 - j))) % nmaps
     return out
 
 
-def word_weights(system: SystemSpec, words: np.ndarray) -> np.ndarray:
-    """Probability weight of each row of a word matrix."""
-    probs = np.asarray(system.probs, dtype=float)
-    w = np.ones(words.shape[0], dtype=float)
-    for j in range(words.shape[1]):
-        w *= probs[words[:, j].astype(np.int64)]
-    return w
+def word_levels(system: SystemSpec, n: int, budget: int = WORD_BUDGET):
+    """The prefix tree of all length-n words, one level at a time.
+
+    Yields ``(srow, weights)`` for k = 1..n. Level k lists the N^k words of
+    length k in ``word_matrix`` order, so ``np.repeat(states, N)`` of the
+    level k-1 states lines them up with level k, and stepping them under
+    ``srow`` (the symbols 0..N-1 tiled N^(k-1) times, int8) applies each
+    word's last symbol. ``weights`` are the words' probabilities, multiplied
+    in symbol order from 1.0. Raises ``BudgetExceededError`` for N^n over
+    ``budget`` on the call, before anything is allocated.
+    """
+    _check_word_budget(system, n, budget)
+    return _levels(system.probs, n)
+
+
+def _levels(probs: np.ndarray, n: int):
+    symbols = np.arange(probs.size, dtype=np.int8)
+    weights = np.ones(1)
+    for _ in range(n):
+        srow = np.tile(symbols, weights.size)
+        weights = (weights[:, None] * probs).ravel()
+        yield srow, weights
 
 
 def ensemble_apply(system: SystemSpec, xs: np.ndarray, srow: np.ndarray, log_deriv=None):

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 __all__ = [
+    "ArgumentError",
     "BudgetExceededError",
     "OverflowGuardError",
     "RefusalError",
@@ -21,6 +22,10 @@ __all__ = [
 
 # normal quantile for two-sided 99% intervals
 Z99 = 2.5758293035489004
+
+
+class ArgumentError(ValueError):
+    """Raised for an argument out of range; the message starts with the argument's name."""
 
 
 class BudgetExceededError(ValueError):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rdsw.cli
+import rdsw.lyapunov
 from rdsw.cli import main
 
 
@@ -244,6 +245,34 @@ def test_ld_accepts_unreduced_circle_starts(tmp_path):
     cfg = _write_config(tmp_path, "ld.json", payload)
     assert main(["ld", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     assert (tmp_path / "run" / "ld.csv").is_file()
+
+
+@pytest.mark.parametrize("y", [None, 0.3], ids=["orbit", "sync"])
+def test_ld_default_ladder_needs_a_nonzero_exponent(tmp_path, capsys, y):
+    """Rotations have gamma = 0, so the default ladder 0.05..0.5 |gamma| is all zeros."""
+    params = {"horizons": [8], "replicas": 1000, **({} if y is None else {"y": y})}
+    cfg = _write_config(tmp_path, "ld.json", {"system": "two_rotations", "params": params})
+    assert main(["ld", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    print(err)
+    assert err.startswith("config error: params.epsilons: ") and "|gamma_hat|, which is 0.0" in err
+    assert len(err.strip().splitlines()) == 1
+    params["epsilons"] = [0.1, 0.2]
+    cfg = _write_config(tmp_path, "ld.json", {"system": "two_rotations", "params": params})
+    assert main(["ld", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+
+
+def test_ld_exact_budget_is_capped_before_any_work(tmp_path, capsys, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("estimate_gamma ran on a config that was going to be rejected")
+
+    monkeypatch.setattr(rdsw.lyapunov, "estimate_gamma", not_called)
+    cfg = _write_config(tmp_path, "ld.json", {"system": "slope_pair", "params": {"exact_budget": 33554432, "horizons": [4]}})
+    assert main(["ld", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    print(err)
+    assert err == "config error: params.exact_budget: at most WORD_BUDGET = 16777216 words, got 33554432\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_output_must_be_a_string(tmp_path, capsys, monkeypatch):

@@ -21,6 +21,7 @@ from rdsw.lyapunov import (
     ld_curve,
     sync_ld_curve,
 )
+from rdsw.systems import WORD_BUDGET
 
 LOG2 = math.log(2.0)
 
@@ -146,3 +147,19 @@ def test_ld_curve_reproducible_across_calls():
     b = ld_curve(sys, x0=0.2, **kv)
     assert np.array_equal(a.probs, b.probs)
     assert a.to_csv() == b.to_csv()
+
+
+def test_exact_budget_is_capped_at_the_word_budget():
+    sys = gallery("slope_pair")
+    kv = dict(epsilons=[0.1], horizons=(4,), gamma_hat=-1.5 * LOG2)
+    for curve in (lambda **k: ld_curve(sys, x0=0.2, **k), lambda **k: sync_ld_curve(sys, 0.2, 0.7, **k)):
+        with pytest.raises(ValueError, match="exact_budget: at most WORD_BUDGET"):
+            curve(exact_budget=WORD_BUDGET + 1, **kv)
+        assert curve(exact_budget=WORD_BUDGET, **kv).exact.tolist() == [True]
+
+
+def test_default_ladder_refuses_a_zero_exponent():
+    sys = gallery("two_rotations")
+    with pytest.raises(ValueError, match=r"epsilons: .*\|gamma_hat\|, which is 0.0"):
+        ld_curve(sys, horizons=(4,), gamma_hat=0.0)
+    assert ld_curve(sys, epsilons=[0.1], horizons=(4,), gamma_hat=0.0).probs.tolist() == [[0.0]]

@@ -29,8 +29,8 @@ from rdsw.systems import (
     ensemble_apply_many,
     iterate,
     map_from_params,
+    word_levels,
     word_matrix,
-    word_weights,
 )
 from rdsw.util import BudgetExceededError
 
@@ -350,18 +350,20 @@ def test_symbol_width_is_bounded():
 
 def test_word_enumeration_weights_sum_to_one():
     sys = binary()
-    words = word_matrix(sys, 10)
-    w = word_weights(sys, words)
-    assert words.shape == (1024, 10)
+    levels = list(word_levels(sys, 10))
+    assert [(srow.size, w.size) for srow, w in levels] == [(2**k, 2**k) for k in range(1, 11)]
+    srow, w = levels[-1]
+    assert srow.dtype == np.int8
+    assert np.array_equal(srow, np.tile([0, 1], 512)), "the last symbol varies fastest"
     assert w.sum() == 1.0, "dyadic weights must sum to exactly one"
-    assert np.unique(words[:, 0]).size == 2
     tri = SystemSpec(
         [AffineMap(0.25, 0.0), AffineMap(0.25, 0.375), AffineMap(0.25, 0.75)],
         (0.25, 0.25, 0.5),
     )
-    words3 = word_matrix(tri, 7)
-    w3 = word_weights(tri, words3)
-    assert words3.shape == (3**7, 7)
+    *_, (srow3, w3) = word_levels(tri, 7)
+    assert srow3.shape == w3.shape == (3**7,)
+    assert w3[:3].tolist() == [0.25**7, 0.25**7, 0.25**6 * 0.5], "the last symbol varies fastest"
+    assert w3[-1] == 0.5**7
     assert w3.sum() == pytest.approx(1.0, abs=1e-14)
 
 
@@ -370,5 +372,9 @@ def test_word_enumeration_budget_guard():
         [AffineMap(0.25, 0.0), AffineMap(0.25, 0.375), AffineMap(0.25, 0.75)],
         (0.25, 0.25, 0.5),
     )
+    # 3^14 words ask for more than 2^20: the call raises before its first level is made
+    with pytest.raises(BudgetExceededError, match="use Monte Carlo"):
+        word_levels(tri, 14, budget=1 << 20)
     with pytest.raises(BudgetExceededError, match="use Monte Carlo"):
         word_matrix(tri, 14, budget=1 << 20)
+    assert len(list(word_levels(tri, 12, budget=3**12))) == 12
