@@ -296,6 +296,8 @@ def _build_curve(system, builder, epsilons, horizons, replicas, seed, gamma_hat,
     if epsilons.ndim != 1 or epsilons.size == 0 or np.any(epsilons <= 0.0):
         raise ValueError("epsilons must be a nonempty positive 1-D ladder")
     horizons = np.asarray(DEFAULT_HORIZONS if horizons is None else horizons, dtype=np.int64)
+    if horizons.ndim != 1 or horizons.size == 0 or np.any(horizons < 1):
+        raise ArgumentError("horizons: must be a nonempty 1-D list of positive integers")
     probs, lo, hi, exact, censored, stat_means = _ld_table(
         system, epsilons, horizons, replicas, seed, builder, exact_budget
     )

@@ -719,6 +719,8 @@ def _as_unit_vector(x0, dim: int) -> np.ndarray:
 
 
 def _check_word_budget(system: SystemSpec, n: int, budget: int) -> None:
+    if n < 0:
+        raise ValueError(f"word length must be nonnegative, got {n}")
     total = system.n_maps**n
     if total > budget:
         raise BudgetExceededError(

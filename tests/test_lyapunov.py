@@ -163,3 +163,11 @@ def test_default_ladder_refuses_a_zero_exponent():
     with pytest.raises(ValueError, match=r"epsilons: .*\|gamma_hat\|, which is 0.0"):
         ld_curve(sys, horizons=(4,), gamma_hat=0.0)
     assert ld_curve(sys, epsilons=[0.1], horizons=(4,), gamma_hat=0.0).probs.tolist() == [[0.0]]
+
+
+def test_horizons_must_be_positive():
+    """A horizon of 0 would divide by zero; a negative one would enumerate no words."""
+    sys = gallery("slope_pair")
+    for bad in ((0,), (-3, 2), ()):
+        with pytest.raises(ValueError, match="horizons: must be a nonempty 1-D list of positive integers"):
+            ld_curve(sys, epsilons=[0.1], horizons=bad, gamma_hat=-1.0)

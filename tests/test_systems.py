@@ -378,3 +378,5 @@ def test_word_enumeration_budget_guard():
     with pytest.raises(BudgetExceededError, match="use Monte Carlo"):
         word_matrix(tri, 14, budget=1 << 20)
     assert len(list(word_levels(tri, 12, budget=3**12))) == 12
+    with pytest.raises(ValueError, match="word length must be nonnegative"):
+        word_levels(tri, -1)
