@@ -731,7 +731,8 @@ def _check_word_budget(system: SystemSpec, n: int, budget: int) -> None:
 
 def word_matrix(system: SystemSpec, n: int, budget: int = WORD_BUDGET) -> np.ndarray:
     """All length-n words as an (N^n, n) int8 matrix in enumeration order
-    (the first symbol most significant)."""
+    (the first symbol most significant): the reference ``word_levels`` is
+    tested against."""
     _check_word_budget(system, n, budget)
     nmaps = system.n_maps
     idx = np.arange(nmaps**n, dtype=np.int64)

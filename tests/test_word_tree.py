@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rdsw.acceptance import QN_BATTERY
+from rdsw.acceptance import QN_BATTERY, _phi_mix
 from rdsw.gallery import gallery, gallery_ids
 from rdsw.geometry import distance
 from rdsw.lyapunov import CENSOR_FLOOR, _DerivStat, _SyncStat, ld_curve, sync_ld_curve
@@ -127,10 +127,6 @@ def test_exact_ld_tables_match_word_matrix_sums(name):
         assert curve.exact.tolist() == [True]
         want = [float(np.sum(ref["weights"][np.abs(stat + 0.3) > e])) for e in eps]
         assert np.array_equal(_bits(curve.probs[:, 0]), _bits(want))
-
-
-def _phi_mix(i, x):
-    return (np.asarray(i, dtype=float) + 1.0) * np.asarray(x, dtype=float)
 
 
 QN_CASES = (*QN_BATTERY, (MIXED, "mix", _phi_mix, 2, 0.4, 6))
