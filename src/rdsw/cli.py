@@ -53,6 +53,9 @@ from .util import ArgumentError, BudgetExceededError, OverflowGuardError, Refusa
 
 __all__ = ["main"]
 
+# steps of one scalar orbit: each costs about 17 bytes (the point, its uniform draw, its symbol)
+ORBIT_BUDGET = 1 << 26
+
 
 class ConfigError(ValueError):
     """A config failed schema validation; the message carries the field path."""
@@ -230,6 +233,13 @@ def _check_starts(sys_: SystemSpec, p: dict, *keys):
                 raise ConfigError(f"params.{key}: {e}") from e
 
 
+def _check_orbit_lengths(p: dict, *keys):
+    """Each given count sets the length of one scalar orbit: at most ``ORBIT_BUDGET``."""
+    for key in keys:
+        if p[key] is not None and p[key] > ORBIT_BUDGET:
+            raise ConfigError(f"params.{key}: at most ORBIT_BUDGET = {ORBIT_BUDGET} steps in one orbit")
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -360,6 +370,7 @@ def _command(name: str, help_text: str, subject: str = "system", keys=("seed", "
 )
 def _cmd_stationary(run: _Run, sys_: SystemSpec, p: dict):
     _check_starts(sys_, p, "x0")
+    _check_orbit_lengths(p, "burn_in", "samples")
     m = estimate_stationary(
         sys_,
         burn_in=p["burn_in"],
@@ -395,6 +406,7 @@ def _cmd_stationary(run: _Run, sys_: SystemSpec, p: dict):
 def _cmd_sync(run: _Run, sys_: SystemSpec, p: dict):
     _check_starts(sys_, p, "x", "y")
     if p["mode"] == "rate":
+        _check_orbit_lengths(p, "n")
         trace = paired_orbit(sys_, p["x"], p["y"], sys_.word_stream(run.seed, SYNC_STREAM), p["n"])
         f = fit_sync_rate(trace)
         run.table("trace", ["step", "distance"], list(enumerate(trace.distances)))
@@ -428,6 +440,7 @@ def _cmd_limits(run: _Run, sys_: SystemSpec, p: dict):
         raise ConfigError("params.law: required; one of ['clt', 'lil', 'sigma2', 'slln']")
     h = observable(p["observable"], sys_.space)
     if law == "slln":
+        _check_orbit_lengths(p, "n")
         r = slln_check(sys_, h, p["x0"], p["n"] or 1_000_000, seed=run.seed)
         run.table("slln", ["checkpoint", "mean", "gap"], list(zip(r.checkpoints, r.means, r.gaps)))
         run.table(

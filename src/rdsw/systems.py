@@ -41,6 +41,7 @@ _TWO_PI = 2.0 * math.pi
 WORD_BUDGET = 1 << 24
 MAX_MAPS = 127  # symbols are int8
 _CHUNK = 1 << 15  # states per pass of the ensemble step: keeps its temporaries cache-sized
+_ORBIT_BLOCK = 1 << 12  # symbols per orbit-kernel call of iterate: its list of floats stays a small transient
 _REALS = (int, float, np.integer, np.floating)
 _FLOAT_MAX = sys.float_info.max
 
@@ -93,16 +94,23 @@ class MapSpec:
     ``__call__``/``deriv`` accept floats or arrays and are the canonical
     evaluator; ``deriv`` is the signed derivative of the lift. A family with a
     coefficient table names in ``_table`` the class whose static
-    ``_image(x, *row)``/``_slope(x, *row)`` are its formula, and gives its
+    ``_image(x, *row)``/``_slope(x, *row)`` are its formula (``_image_slope``
+    gives both at once, sharing what they have in common), and gives its
     coefficients as ``table_row()``. The ``__call__``/``deriv`` defined here
     evaluate that formula on the map's own row, and ``ensemble_apply`` on the
     rows gathered by each state's symbol, so both paths round alike. A family
     without a table (``_table`` None) defines its own ``__call__``/``deriv``,
     which also step its ensembles.
-    ``scalar_fn`` returns a plain-float closure that ``iterate`` uses for
-    single orbits because it is several times faster per call. The two paths
-    agree bit for bit except on Moebius maps, whose ``math`` and numpy
-    trigonometry may round differently: at most 1 ulp apart per step.
+
+    The table class's static ``_orbit(x, symbols, *columns)`` is the family's
+    single-orbit kernel, which ``iterate`` runs: from the float ``x`` it steps
+    through ``symbols`` (a list of ints), reading each coefficient from its
+    column as a per-symbol list, and returns the visited points as a list of
+    floats. It writes the scalar formula inline on plain floats, with no call
+    per step, so it is several times faster per step than ``__call__``. It
+    agrees with the numpy formula bit for bit except on Moebius maps, whose
+    ``math`` and numpy trigonometry may round differently: at most 1 ulp apart
+    per step.
     """
 
     family = "abstract"
@@ -123,8 +131,9 @@ class MapSpec:
             out[name] = v.tolist() if isinstance(v, np.ndarray) else v
         return out
 
-    def scalar_fn(self):
-        return self.__call__
+    @classmethod
+    def _image_slope(cls, x, *row):
+        return cls._image(x, *row), cls._slope(x, *row)
 
     def inverse_grid(self, ts):
         """Preimages of targets under the map, for exact partition overlaps.
@@ -171,9 +180,14 @@ class AffineMap(MapSpec):
     def _slope(x, a, b):
         return np.full_like(x, a)
 
-    def scalar_fn(self):
-        a, b = self.a, self.b
-        return lambda x: min(1.0, max(0.0, a * x + b))
+    @staticmethod
+    def _orbit(x, symbols, a, b):
+        out = []
+        for s in symbols:
+            x = a[s] * x + b[s]
+            x = (x if x < 1.0 else 1.0) if x > 0.0 else 0.0  # the clamp of _image, -0.0 to 0.0 included
+            out.append(x)
+        return out
 
     def inverse_grid(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -195,10 +209,6 @@ class Rotation(MapSpec):
 
     def table_row(self) -> tuple:
         return (self.c, 0.0, _TWO_PI, 0.0, 0.0)
-
-    def scalar_fn(self):
-        c = self.c
-        return lambda x: (x + c) % 1.0
 
     def inverse_grid(self, ts):
         return (np.asarray(ts, dtype=float) - self.c) % 1.0
@@ -245,9 +255,25 @@ class PerturbedRotation(MapSpec):
     def _slope(x, c, k, w, amp, phase):
         return 1.0 + amp * np.cos(w * x + phase)
 
-    def scalar_fn(self):
-        c, k, w, _, ph = self.table_row()
-        return lambda x: (x + c + k * math.sin(w * x + ph)) % 1.0
+    @staticmethod
+    def _image_slope(x, c, k, w, amp, phase):
+        y = w * x + phase
+        return mod1(x + c + k * np.sin(y)), 1.0 + amp * np.cos(y)
+
+    @staticmethod
+    def _orbit(x, symbols, c, k, w, amp, phase):
+        """Rows with k == 0 (rotations) add no sine: x + c + 0.0 * sin(.) is x + c
+        but for a -0.0 sum, which the reduction mod 1 makes +0.0 either way."""
+        sin = math.sin
+        out = []
+        for s in symbols:
+            ks = k[s]
+            if ks == 0.0:
+                x = (x + c[s]) % 1.0
+            else:
+                x = (x + c[s] + ks * sin(w[s] * x + phase[s])) % 1.0
+            out.append(x)
+        return out
 
     def lift(self, x):
         return self._lift(np.asarray(x, dtype=float), *self.table_row())
@@ -297,16 +323,21 @@ class MoebiusMap(MapSpec):
         u, v = MoebiusMap._uv(x, m00, m01, m10, m11)
         return det / (u * u + v * v)
 
-    def scalar_fn(self):
-        m00, m01, m10, m11, _ = self.table_row()
-        pi = math.pi
+    @staticmethod
+    def _image_slope(x, m00, m01, m10, m11, det):
+        u, v = MoebiusMap._uv(x, m00, m01, m10, m11)
+        return mod1(np.arctan2(v, u) / math.pi), det / (u * u + v * v)
 
-        def f(x):
+    @staticmethod
+    def _orbit(x, symbols, m00, m01, m10, m11, det):
+        cos, sin, atan2, pi = math.cos, math.sin, math.atan2, math.pi
+        out = []
+        for s in symbols:
             th = pi * x
-            c, s = math.cos(th), math.sin(th)
-            return (math.atan2(m10 * c + m11 * s, m00 * c + m01 * s) / pi) % 1.0
-
-        return f
+            cs, sn = cos(th), sin(th)
+            x = (atan2(m10[s] * cs + m11[s] * sn, m00[s] * cs + m01[s] * sn) / pi) % 1.0
+            out.append(x)
+        return out
 
     def inverse_grid(self, ts):
         m = self.matrix
@@ -362,7 +393,8 @@ class TabulatedMap(MapSpec):
         self._x0 = float(xs[0])
 
     def _wrap(self, x):
-        x = np.asarray(x, dtype=float)
+        if not isinstance(x, float):  # an orbit's float point skips numpy's 0-d overhead: same bits
+            x = np.asarray(x, dtype=float)
         if self.space == CIRCLE:
             return self._x0 + (x - self._x0) % 1.0
         return np.clip(x, self.nodes[0], self.nodes[-1])
@@ -482,15 +514,23 @@ class _Group:
 
     A family table holds one column of coefficients per symbol (zeros for the
     symbols of other groups); ``gather`` picks each state's column, and
-    ``image``/``slope`` are the family formula. A map without a table is a
-    one-member group whose ``image``/``slope`` are its own ``__call__``/``deriv``.
+    ``image``/``image_slope``/``orbit`` are the family formula and its orbit
+    kernel, which reads the columns as the lists ``coefs``. A map without a
+    table is a one-member group whose ``image``/``image_slope`` are its own
+    ``__call__`` and ``deriv``; ``iterate`` steps it with ``__call__``.
     """
 
-    def __init__(self, symbols, image, slope, columns=None):
+    def __init__(self, symbols, table=None, columns=None, map_=None):
         self.symbols = symbols
-        self.image = image
-        self.slope = slope
         self.columns = columns
+        if table is None:
+            self.image = map_.__call__
+            self.image_slope = lambda x: (map_(x), map_.deriv(x))
+        else:
+            self.image = table._image
+            self.image_slope = table._image_slope
+            self.orbit = table._orbit
+            self.coefs = columns.tolist()
 
     def gather(self, s) -> tuple:
         return () if self.columns is None else tuple(self.columns.take(s, axis=1))
@@ -503,13 +543,12 @@ def _groups(maps) -> list:
     groups = []
     for key, symbols in members.items():
         if isinstance(key, int):
-            m = maps[key]
-            groups.append(_Group(symbols, m.__call__, m.deriv))
+            groups.append(_Group(symbols, map_=maps[key]))
             continue
         columns = np.zeros((len(maps[symbols[0]].table_row()), len(maps)))
         for i in symbols:
             columns[:, i] = maps[i].table_row()
-        groups.append(_Group(symbols, key._image, key._slope, columns))
+        groups.append(_Group(symbols, key, columns))
     return groups
 
 
@@ -553,6 +592,14 @@ class SystemSpec:
         self._group_of = np.empty(len(maps), dtype=np.int8)
         for g, group in enumerate(self._groups):
             self._group_of[group.symbols] = g
+        # iterate's kernels: one per family table, and None for every map without a table
+        self._kernels = []
+        self._kernel_of = np.empty(len(maps), dtype=np.int8)
+        for group in self._groups:
+            kernel = None if group.columns is None else group
+            if kernel not in self._kernels:
+                self._kernels.append(kernel)
+            self._kernel_of[group.symbols] = self._kernels.index(kernel)
         if check and self.space in (CIRCLE, INTERVAL):
             self._grid_check()
 
@@ -591,6 +638,31 @@ class SystemSpec:
                 idx = np.flatnonzero(owner == g)
                 if idx.size:
                     yield idx + lo, s[idx], group
+
+    def _orbit(self, x: float, symbols: np.ndarray) -> list:
+        """The points after each of ``symbols`` from ``x``, as floats (1-D spaces).
+
+        Each maximal run of symbols whose maps share a table goes through the
+        family's kernel; maps without a table step one call per symbol.
+        """
+        if len(self._kernels) == 1 and self._kernels[0] is not None:
+            group = self._kernels[0]
+            return group.orbit(x, symbols.tolist(), *group.coefs)
+        kernel = self._kernel_of[symbols]
+        starts = np.flatnonzero(np.diff(kernel, prepend=-1))
+        ends = [*starts[1:].tolist(), symbols.size]
+        symbols = symbols.tolist()
+        out = []
+        for lo, hi, k in zip(starts.tolist(), ends, kernel[starts].tolist()):
+            group = self._kernels[k]
+            if group is None:
+                for s in symbols[lo:hi]:
+                    x = float(self.maps[s](x))
+                    out.append(x)
+            else:
+                out += group.orbit(x, symbols[lo:hi], *group.coefs)
+                x = out[-1]
+        return out
 
     def word_stream(self, seed: int, stream_id: int = 0) -> "WordStream":
         return WordStream(int(seed), int(stream_id), tuple(float(p) for p in self.probs))
@@ -688,15 +760,25 @@ def iterate(system: SystemSpec, x0, word, n: int) -> np.ndarray:
     interval, (n+1, d) unit rows on projective space (x0 is normalised, and
     must have d coordinates, not all zero). This is the library's one
     single-orbit loop; it is bit-for-bit reproducible for equal inputs.
+
+    On the circle and the interval each maximal run of symbols whose maps
+    share a family table goes through that family's ``_orbit`` kernel. The
+    word is stepped ``_ORBIT_BLOCK`` symbols at a time, so the kernels' lists
+    of floats stay small; each block starts from the last point written.
+    Maps without a table, projective ones included, step one call per symbol.
     """
-    symbols = _resolve_word(system, word, n).tolist()
+    symbols = _resolve_word(system, word, n)
     x = _start_state(system, x0)
     points = np.empty((n + 1, *np.shape(x)), dtype=float)
     points[0] = x
-    fns = system.maps if system.space == PROJECTIVE else [m.scalar_fn() for m in system.maps]
-    for k, s in enumerate(symbols):
-        x = fns[s](x)
-        points[k + 1] = x
+    if system.space == PROJECTIVE:
+        for k, s in enumerate(symbols.tolist(), 1):
+            x = system.maps[s](x)
+            points[k] = x
+        return points
+    for b in range(0, n, _ORBIT_BLOCK):
+        e = min(b + _ORBIT_BLOCK, n)
+        points[b + 1 : e + 1] = system._orbit(float(points[b]), symbols[b:e])
     return points
 
 
@@ -780,9 +862,12 @@ def ensemble_apply(system: SystemSpec, xs: np.ndarray, srow: np.ndarray, log_der
     for states, s, group in system._select(srow):
         x = xs[states]
         row = group.gather(s)
-        if log_deriv is not None:
-            log_deriv[states] += np.log(np.abs(group.slope(x, *row)))
-        xs[states] = group.image(x, *row)
+        if log_deriv is None:
+            xs[states] = group.image(x, *row)
+            continue
+        y, slope = group.image_slope(x, *row)
+        log_deriv[states] += np.log(np.abs(slope))
+        xs[states] = y
 
 
 def ensemble_apply_many(system: SystemSpec, arrays, srow: np.ndarray):

@@ -275,6 +275,56 @@ def test_ld_exact_budget_is_capped_before_any_work(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "command, params, field",
+    [
+        ("stationary", {"samples": 10**400}, "samples"),
+        ("stationary", {"burn_in": 10**400}, "burn_in"),
+        ("stationary", {"samples": rdsw.cli.ORBIT_BUDGET + 1}, "samples"),
+        ("limits", {"law": "slln", "n": 10**400}, "n"),
+        ("limits", {"law": "slln", "n": rdsw.cli.ORBIT_BUDGET + 1}, "n"),
+        ("sync", {"n": 10**400}, "n"),
+        ("sync", {"mode": "rate", "n": rdsw.cli.ORBIT_BUDGET + 1}, "n"),
+    ],
+)
+def test_orbit_lengths_are_capped_before_any_work(tmp_path, capsys, monkeypatch, command, params, field):
+    def not_called(*args, **kwargs):
+        raise AssertionError("an orbit ran on a config that was going to be rejected")
+
+    for name in ("estimate_stationary", "slln_check", "paired_orbit"):
+        monkeypatch.setattr(rdsw.cli, name, not_called)
+    cfg = _write_config(tmp_path, "c.json", {"system": "binary_affine", "params": params})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    print(err)
+    assert err == f"config error: params.{field}: at most ORBIT_BUDGET = 67108864 steps in one orbit\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "command, params, reached",
+    [
+        ("stationary", {"burn_in": 1 << 26, "samples": 1 << 26}, "estimate_stationary"),
+        ("limits", {"law": "slln", "n": 1 << 26}, "slln_check"),
+        ("sync", {"n": 1 << 26}, "paired_orbit"),
+        ("sync", {"mode": "average", "n": (1 << 26) + 1}, "average_sync_sum"),
+    ],
+)
+def test_orbit_length_cap_admits_the_budget(tmp_path, monkeypatch, command, params, reached):
+    """Counts up to the cap, and counts that set no scalar orbit, reach the library."""
+
+    class Reached(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(rdsw.cli, reached, stop)
+    cfg = _write_config(tmp_path, "c.json", {"system": "binary_affine", "params": params})
+    with pytest.raises(Reached):
+        main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+
+
 def test_output_must_be_a_string(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path, "o.json", {"system": "binary_affine", "output": 5, "params": {"samples": 100}})

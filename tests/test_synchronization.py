@@ -19,6 +19,7 @@ from rdsw.synchronization import (
     proximality_probe,
 )
 from rdsw.util import RefusalError
+from scalar_reference import scalar_fn
 
 LOG2 = math.log(2.0)
 
@@ -40,7 +41,7 @@ def test_paired_orbit_symmetric_in_endpoints():
 
 def _reference_pair_distances(system, x, y, symbols):
     """The per-step scalar loop paired_orbit must reproduce bit for bit."""
-    fns = [m.scalar_fn() for m in system.maps]
+    fns = [scalar_fn(m) for m in system.maps]
     circle = system.space == CIRCLE
     out = np.empty(len(symbols) + 1)
     a, b = float(x), float(y)

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import rdsw
+from rdsw import systems
 from rdsw.gallery import gallery, gallery_ids
-from rdsw.geometry import CIRCLE, INTERVAL, distance
-from rdsw.cocycles import CocycleSpec
+from rdsw.geometry import CIRCLE, INTERVAL, PROJECTIVE, distance
+from rdsw.cocycles import CocycleSpec, cocycle_gallery, cocycle_gallery_ids, projective_system
 from rdsw.systems import (
     MAX_MAPS,
     AffineMap,
@@ -33,6 +34,7 @@ from rdsw.systems import (
     word_matrix,
 )
 from rdsw.util import BudgetExceededError
+from scalar_reference import scalar_fn, scalar_orbit
 
 
 def binary():
@@ -242,7 +244,7 @@ def test_ensemble_apply_matches_scalar_orbits():
     sys = binary()
     xs = np.array([0.1, 0.5, 0.9])
     srow = np.array([0, 1, 1])
-    expected = [sys.maps[s].scalar_fn()(x) for x, s in zip(xs, srow)]
+    expected = [scalar_fn(sys.maps[s])(x) for x, s in zip(xs, srow)]
     ld = np.zeros(3)
     ensemble_apply(sys, xs, srow, log_deriv=ld)
     assert np.allclose(xs, expected)
@@ -287,6 +289,48 @@ def _mixed_circle() -> SystemSpec:
         PerturbedRotation(-0.2, -0.5, harmonic=1, phase=0.0),
     )
     return SystemSpec(maps, (0.2,) * 5, name="mixed")
+
+
+def _pin_system(name: str) -> SystemSpec:
+    if name == "tabulated":
+        return _tabulated_circle()
+    if name == "mixed":
+        return _mixed_circle()
+    if name in cocycle_gallery_ids():
+        return projective_system(cocycle_gallery(name))
+    return gallery(name)
+
+
+@pytest.mark.parametrize(
+    "name, block, n",
+    [
+        *((g, systems._ORBIT_BLOCK, systems._ORBIT_BLOCK + 17) for g in gallery_ids()),
+        *((g, 5, 700) for g in (*gallery_ids(), "tabulated", "mixed", *cocycle_gallery_ids())),
+    ],
+)
+def test_iterate_matches_frozen_scalar_closures_bitwise(name, block, n, monkeypatch):
+    """The orbit kernels against the per-map closures they replaced, bit for bit.
+
+    At the real block size the orbit crosses one block boundary; at a block of
+    5 symbols it crosses many, and on the mixed system (two family tables and
+    a tabulated map) the kernel runs change every few steps and cross the
+    block boundaries too.
+    """
+    monkeypatch.setattr(systems, "_ORBIT_BLOCK", block)
+    sys = _pin_system(name)
+    word = sys.word_stream(13).draw(n)
+    if sys.space == PROJECTIVE:
+        starts = [np.eye(sys.dim)[0], np.arange(1.0, sys.dim + 1.0), -np.ones(sys.dim)]
+    else:
+        starts = [0.3, 1.25, -0.4, 0.0, 1.0]
+    for x0 in starts:
+        got = iterate(sys, x0, word, n)
+        want = scalar_orbit(sys, x0, word.tolist())
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"{name} from {x0}"
+    if name == "mixed":
+        kinds = np.array([0, 0, 1, 2, 0])[word]  # rotation table, Moebius table, no table
+        assert np.count_nonzero(np.diff(kinds)) > 100, "the word must switch kernels often"
+        assert iterate(sys, 0.3, word[:0], 0).tolist() == [0.3]
 
 
 def _reference_apply(system, xs, srow, log_deriv=None):
