@@ -592,14 +592,6 @@ class SystemSpec:
         self._group_of = np.empty(len(maps), dtype=np.int8)
         for g, group in enumerate(self._groups):
             self._group_of[group.symbols] = g
-        # iterate's kernels: one per family table, and None for every map without a table
-        self._kernels = []
-        self._kernel_of = np.empty(len(maps), dtype=np.int8)
-        for group in self._groups:
-            kernel = None if group.columns is None else group
-            if kernel not in self._kernels:
-                self._kernels.append(kernel)
-            self._kernel_of[group.symbols] = self._kernels.index(kernel)
         if check and self.space in (CIRCLE, INTERVAL):
             self._grid_check()
 
@@ -642,22 +634,23 @@ class SystemSpec:
     def _orbit(self, x: float, symbols: np.ndarray) -> list:
         """The points after each of ``symbols`` from ``x``, as floats (1-D spaces).
 
-        Each maximal run of symbols whose maps share a table goes through the
-        family's kernel; maps without a table step one call per symbol.
+        Each maximal run of symbols of one group goes through the group's
+        kernel when it has a table; a map without a table steps one call per
+        symbol.
         """
-        if len(self._kernels) == 1 and self._kernels[0] is not None:
-            group = self._kernels[0]
+        if len(self._groups) == 1 and self._groups[0].columns is not None:
+            group = self._groups[0]
             return group.orbit(x, symbols.tolist(), *group.coefs)
-        kernel = self._kernel_of[symbols]
-        starts = np.flatnonzero(np.diff(kernel, prepend=-1))
+        owner = self._group_of[symbols]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
         ends = [*starts[1:].tolist(), symbols.size]
         symbols = symbols.tolist()
         out = []
-        for lo, hi, k in zip(starts.tolist(), ends, kernel[starts].tolist()):
-            group = self._kernels[k]
-            if group is None:
-                for s in symbols[lo:hi]:
-                    x = float(self.maps[s](x))
+        for lo, hi, g in zip(starts.tolist(), ends, owner[starts].tolist()):
+            group = self._groups[g]
+            if group.columns is None:
+                for _ in range(lo, hi):
+                    x = float(group.image(x))
                     out.append(x)
             else:
                 out += group.orbit(x, symbols[lo:hi], *group.coefs)
