@@ -233,11 +233,11 @@ def _check_starts(sys_: SystemSpec, p: dict, *keys):
                 raise ConfigError(f"params.{key}: {e}") from e
 
 
-def _check_orbit_lengths(p: dict, *keys):
-    """Each given count sets the length of one scalar orbit: at most ``ORBIT_BUDGET``."""
-    for key in keys:
-        if p[key] is not None and p[key] > ORBIT_BUDGET:
-            raise ConfigError(f"params.{key}: at most ORBIT_BUDGET = {ORBIT_BUDGET} steps in one orbit")
+def _check_orbit_length(p: dict, *keys):
+    """The given counts add up to the length of one scalar orbit: at most ``ORBIT_BUDGET``."""
+    if sum(p[key] or 0 for key in keys) > ORBIT_BUDGET:
+        fields = " + ".join(f"params.{key}" for key in keys)
+        raise ConfigError(f"{fields}: at most ORBIT_BUDGET = {ORBIT_BUDGET} steps in one orbit")
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,7 @@ def _command(name: str, help_text: str, subject: str = "system", keys=("seed", "
 )
 def _cmd_stationary(run: _Run, sys_: SystemSpec, p: dict):
     _check_starts(sys_, p, "x0")
-    _check_orbit_lengths(p, "burn_in", "samples")
+    _check_orbit_length(p, "burn_in", "samples")
     m = estimate_stationary(
         sys_,
         burn_in=p["burn_in"],
@@ -406,7 +406,7 @@ def _cmd_stationary(run: _Run, sys_: SystemSpec, p: dict):
 def _cmd_sync(run: _Run, sys_: SystemSpec, p: dict):
     _check_starts(sys_, p, "x", "y")
     if p["mode"] == "rate":
-        _check_orbit_lengths(p, "n")
+        _check_orbit_length(p, "n")
         trace = paired_orbit(sys_, p["x"], p["y"], sys_.word_stream(run.seed, SYNC_STREAM), p["n"])
         f = fit_sync_rate(trace)
         run.table("trace", ["step", "distance"], list(enumerate(trace.distances)))
@@ -440,7 +440,7 @@ def _cmd_limits(run: _Run, sys_: SystemSpec, p: dict):
         raise ConfigError("params.law: required; one of ['clt', 'lil', 'sigma2', 'slln']")
     h = observable(p["observable"], sys_.space)
     if law == "slln":
-        _check_orbit_lengths(p, "n")
+        _check_orbit_length(p, "n")
         r = slln_check(sys_, h, p["x0"], p["n"] or 1_000_000, seed=run.seed)
         run.table("slln", ["checkpoint", "mean", "gap"], list(zip(r.checkpoints, r.means, r.gaps)))
         run.table(

@@ -93,14 +93,17 @@ class MapSpec:
 
     ``__call__``/``deriv`` accept floats or arrays and are the canonical
     evaluator; ``deriv`` is the signed derivative of the lift. A family with a
-    coefficient table names in ``_table`` the class whose static
-    ``_image(x, *row)``/``_slope(x, *row)`` are its formula (``_image_slope``
-    gives both at once, sharing what they have in common), and gives its
-    coefficients as ``table_row()``. The ``__call__``/``deriv`` defined here
-    evaluate that formula on the map's own row, and ``ensemble_apply`` on the
-    rows gathered by each state's symbol, so both paths round alike. A family
-    without a table (``_table`` None) defines its own ``__call__``/``deriv``,
-    which also step its ensembles.
+    coefficient table names in ``_table`` the class whose static methods are
+    its formula, and gives its coefficients as ``table_row()``. ``_arg(x,
+    *row)`` is what image and slope have in common (None when they share
+    nothing), and ``_image_at(x, t, *row)``/``_slope_at(x, t, *row)`` finish
+    each from ``t = _arg(x, *row)``, so a log-derivative step evaluates
+    ``_arg`` once for both (``_image``/``_slope`` do either alone). The
+    ``__call__``/``deriv``
+    defined here evaluate that formula on the map's own row, and
+    ``ensemble_apply`` on the rows gathered by each state's symbol, so both
+    paths round alike. A family without a table (``_table`` None) defines its
+    own ``__call__``/``deriv``, which also step its ensembles.
 
     The table class's static ``_orbit(x, symbols, *columns)`` is the family's
     single-orbit kernel, which ``iterate`` runs: from the float ``x`` it steps
@@ -131,9 +134,17 @@ class MapSpec:
             out[name] = v.tolist() if isinstance(v, np.ndarray) else v
         return out
 
+    @staticmethod
+    def _arg(x, *row):
+        return None
+
     @classmethod
-    def _image_slope(cls, x, *row):
-        return cls._image(x, *row), cls._slope(x, *row)
+    def _image(cls, x, *row):
+        return cls._image_at(x, cls._arg(x, *row), *row)
+
+    @classmethod
+    def _slope(cls, x, *row):
+        return cls._slope_at(x, cls._arg(x, *row), *row)
 
     def inverse_grid(self, ts):
         """Preimages of targets under the map, for exact partition overlaps.
@@ -173,11 +184,11 @@ class AffineMap(MapSpec):
         return (self.a, self.b)
 
     @staticmethod
-    def _image(x, a, b):
+    def _image_at(x, t, a, b):
         return np.minimum(1.0, np.maximum(0.0, a * x + b))
 
     @staticmethod
-    def _slope(x, a, b):
+    def _slope_at(x, t, a, b):
         return np.full_like(x, a)
 
     @staticmethod
@@ -244,21 +255,20 @@ class PerturbedRotation(MapSpec):
         return (self.c, self._k, self._w, self.amp, self.phase)
 
     @staticmethod
-    def _lift(x, c, k, w, amp, phase):
-        return x + c + k * np.sin(w * x + phase)
+    def _arg(x, c, k, w, amp, phase):
+        return w * x + phase
 
     @staticmethod
-    def _image(x, *row):
-        return mod1(PerturbedRotation._lift(x, *row))
+    def _lift_at(x, t, c, k, w, amp, phase):
+        return x + c + k * np.sin(t)
 
     @staticmethod
-    def _slope(x, c, k, w, amp, phase):
-        return 1.0 + amp * np.cos(w * x + phase)
+    def _image_at(x, t, *row):
+        return mod1(PerturbedRotation._lift_at(x, t, *row))
 
     @staticmethod
-    def _image_slope(x, c, k, w, amp, phase):
-        y = w * x + phase
-        return mod1(x + c + k * np.sin(y)), 1.0 + amp * np.cos(y)
+    def _slope_at(x, t, c, k, w, amp, phase):
+        return 1.0 + amp * np.cos(t)
 
     @staticmethod
     def _orbit(x, symbols, c, k, w, amp, phase):
@@ -276,7 +286,8 @@ class PerturbedRotation(MapSpec):
         return out
 
     def lift(self, x):
-        return self._lift(np.asarray(x, dtype=float), *self.table_row())
+        x, row = np.asarray(x, dtype=float), self.table_row()
+        return self._lift_at(x, self._arg(x, *row), *row)
 
     def inverse_grid(self, ts):
         return _bisect_circle_inverse(self.lift, np.asarray(ts, dtype=float))
@@ -307,26 +318,21 @@ class MoebiusMap(MapSpec):
         return (m00, m01, m10, m11, self.det)
 
     @staticmethod
-    def _uv(x, m00, m01, m10, m11):
+    def _arg(x, m00, m01, m10, m11, det):
         """(u, v) = A (cos pi x, sin pi x)."""
         th = math.pi * x
         c, s = np.cos(th), np.sin(th)
         return m00 * c + m01 * s, m10 * c + m11 * s
 
     @staticmethod
-    def _image(x, m00, m01, m10, m11, det):
-        u, v = MoebiusMap._uv(x, m00, m01, m10, m11)
+    def _image_at(x, uv, *row):
+        u, v = uv
         return mod1(np.arctan2(v, u) / math.pi)
 
     @staticmethod
-    def _slope(x, m00, m01, m10, m11, det):
-        u, v = MoebiusMap._uv(x, m00, m01, m10, m11)
+    def _slope_at(x, uv, m00, m01, m10, m11, det):
+        u, v = uv
         return det / (u * u + v * v)
-
-    @staticmethod
-    def _image_slope(x, m00, m01, m10, m11, det):
-        u, v = MoebiusMap._uv(x, m00, m01, m10, m11)
-        return mod1(np.arctan2(v, u) / math.pi), det / (u * u + v * v)
 
     @staticmethod
     def _orbit(x, symbols, m00, m01, m10, m11, det):
@@ -514,10 +520,12 @@ class _Group:
 
     A family table holds one column of coefficients per symbol (zeros for the
     symbols of other groups); ``gather`` picks each state's column, and
-    ``image``/``image_slope``/``orbit`` are the family formula and its orbit
-    kernel, which reads the columns as the lists ``coefs``. A map without a
-    table is a one-member group whose ``image``/``image_slope`` are its own
-    ``__call__`` and ``deriv``; ``iterate`` steps it with ``__call__``.
+    ``image``, ``arg``/``image_at``/``slope_at`` and ``orbit`` are the family
+    formula, its shared part and its two ends, and its orbit kernel, which
+    reads the columns as the lists ``coefs``. A map without a table is a
+    one-member group whose image and slope are its own ``__call__`` and
+    ``deriv`` (``arg`` None), and whose ``orbit`` calls ``__call__`` once per
+    symbol, with no ``coefs``.
     """
 
     def __init__(self, symbols, table=None, columns=None, map_=None):
@@ -525,15 +533,28 @@ class _Group:
         self.columns = columns
         if table is None:
             self.image = map_.__call__
-            self.image_slope = lambda x: (map_(x), map_.deriv(x))
+            self.arg = lambda x: None
+            self.image_at = lambda x, t: map_(x)
+            self.slope_at = lambda x, t: map_.deriv(x)
+            self.orbit = lambda x, symbols: _call_orbit(map_, x, symbols)
+            self.coefs = []
         else:
             self.image = table._image
-            self.image_slope = table._image_slope
+            self.arg, self.image_at, self.slope_at = table._arg, table._image_at, table._slope_at
             self.orbit = table._orbit
             self.coefs = columns.tolist()
 
     def gather(self, s) -> tuple:
         return () if self.columns is None else tuple(self.columns.take(s, axis=1))
+
+
+def _call_orbit(map_, x, symbols) -> list:
+    """The orbit kernel of a map without a table: one ``__call__`` per symbol."""
+    out = []
+    for _ in symbols:
+        x = float(map_(x))
+        out.append(x)
+    return out
 
 
 def _groups(maps) -> list:
@@ -635,26 +656,17 @@ class SystemSpec:
         """The points after each of ``symbols`` from ``x``, as floats (1-D spaces).
 
         Each maximal run of symbols of one group goes through the group's
-        kernel when it has a table; a map without a table steps one call per
-        symbol.
+        ``orbit``.
         """
-        if len(self._groups) == 1 and self._groups[0].columns is not None:
-            group = self._groups[0]
-            return group.orbit(x, symbols.tolist(), *group.coefs)
-        owner = self._group_of[symbols]
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        owner = self._group_of.take(symbols)
+        starts = np.concatenate(([0], (owner[1:] != owner[:-1]).nonzero()[0] + 1))
         ends = [*starts[1:].tolist(), symbols.size]
         symbols = symbols.tolist()
         out = []
         for lo, hi, g in zip(starts.tolist(), ends, owner[starts].tolist()):
             group = self._groups[g]
-            if group.columns is None:
-                for _ in range(lo, hi):
-                    x = float(group.image(x))
-                    out.append(x)
-            else:
-                out += group.orbit(x, symbols[lo:hi], *group.coefs)
-                x = out[-1]
+            out += group.orbit(x, symbols[lo:hi], *group.coefs)
+            x = out[-1]
         return out
 
     def word_stream(self, seed: int, stream_id: int = 0) -> "WordStream":
@@ -765,8 +777,9 @@ def iterate(system: SystemSpec, x0, word, n: int) -> np.ndarray:
     points = np.empty((n + 1, *np.shape(x)), dtype=float)
     points[0] = x
     if system.space == PROJECTIVE:
+        maps = system.maps
         for k, s in enumerate(symbols.tolist(), 1):
-            x = system.maps[s](x)
+            x = maps[s](x)
             points[k] = x
         return points
     for b in range(0, n, _ORBIT_BLOCK):
@@ -858,9 +871,9 @@ def ensemble_apply(system: SystemSpec, xs: np.ndarray, srow: np.ndarray, log_der
         if log_deriv is None:
             xs[states] = group.image(x, *row)
             continue
-        y, slope = group.image_slope(x, *row)
-        log_deriv[states] += np.log(np.abs(slope))
-        xs[states] = y
+        t = group.arg(x, *row)
+        log_deriv[states] += np.log(np.abs(group.slope_at(x, t, *row)))
+        xs[states] = group.image_at(x, t, *row)
 
 
 def ensemble_apply_many(system: SystemSpec, arrays, srow: np.ndarray):

@@ -278,9 +278,9 @@ def test_ld_exact_budget_is_capped_before_any_work(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize(
     "command, params, field",
     [
-        ("stationary", {"samples": 10**400}, "samples"),
-        ("stationary", {"burn_in": 10**400}, "burn_in"),
-        ("stationary", {"samples": rdsw.cli.ORBIT_BUDGET + 1}, "samples"),
+        ("stationary", {"samples": 10**400}, "burn_in + params.samples"),
+        ("stationary", {"burn_in": 10**400}, "burn_in + params.samples"),
+        ("stationary", {"burn_in": 1 << 25, "samples": (1 << 25) + 1}, "burn_in + params.samples"),
         ("limits", {"law": "slln", "n": 10**400}, "n"),
         ("limits", {"law": "slln", "n": rdsw.cli.ORBIT_BUDGET + 1}, "n"),
         ("sync", {"n": 10**400}, "n"),
@@ -304,7 +304,7 @@ def test_orbit_lengths_are_capped_before_any_work(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize(
     "command, params, reached",
     [
-        ("stationary", {"burn_in": 1 << 26, "samples": 1 << 26}, "estimate_stationary"),
+        ("stationary", {"burn_in": 1 << 25, "samples": 1 << 25}, "estimate_stationary"),
         ("limits", {"law": "slln", "n": 1 << 26}, "slln_check"),
         ("sync", {"n": 1 << 26}, "paired_orbit"),
         ("sync", {"mode": "average", "n": (1 << 26) + 1}, "average_sync_sum"),
