@@ -46,15 +46,21 @@ from .geometry import INTERVAL
 from .limit_laws import clt_test, estimate_sigma2, lil_statistic, observable, slln_check
 from .lyapunov import distortion_report, estimate_gamma, ld_curve, sync_ld_curve
 from .measures import atom_diagnostic, estimate_stationary
-from .operators import build_laplace_markov, build_transfer_ulam, leading_eigen, spectral_gap, subleading_decay
+from .operators import MAX_CELLS, build_laplace_markov, build_transfer_ulam, leading_eigen, spectral_gap, subleading_decay
 from .synchronization import SYNC_STREAM, average_sync_sum, fit_sync_rate, paired_orbit
 from .systems import MAX_MAPS, SystemSpec, _is_finite_real, _start_state, map_from_params
 from .util import ArgumentError, BudgetExceededError, OverflowGuardError, RefusalError, fmt
 
 __all__ = ["main"]
 
+# caps on the counts a config sets, each checked before any library call
 # steps of one scalar orbit: each costs about 17 bytes (the point, its uniform draw, its symbol)
 ORBIT_BUDGET = 1 << 26
+# replicas of one ensemble: each holds its states (a 64-direction cloud in the
+# local-contraction probe) and draws a uniform and a symbol per step
+REPLICA_BUDGET = 1 << 20
+# steps of every replica in one ensemble run; lil's default horizon of 10^6 fits
+HORIZON_BUDGET = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -233,11 +239,21 @@ def _check_starts(sys_: SystemSpec, p: dict, *keys):
                 raise ConfigError(f"params.{key}: {e}") from e
 
 
-def _check_orbit_length(p: dict, *keys):
-    """The given counts add up to the length of one scalar orbit: at most ``ORBIT_BUDGET``."""
-    if sum(p[key] or 0 for key in keys) > ORBIT_BUDGET:
+def _check_budget(p: dict, keys, budget: int, name: str, what: str):
+    """The given counts add up to at most ``budget``; the message names every field."""
+    if sum(p[key] or 0 for key in keys) > budget:
         fields = " + ".join(f"params.{key}" for key in keys)
-        raise ConfigError(f"{fields}: at most ORBIT_BUDGET = {ORBIT_BUDGET} steps in one orbit")
+        raise ConfigError(f"{fields}: at most {name} = {budget} {what}")
+
+
+def _check_orbit_length(p: dict, *keys):
+    """The given counts add up to the length of one scalar orbit."""
+    _check_budget(p, keys, ORBIT_BUDGET, "ORBIT_BUDGET", "steps in one orbit")
+
+
+def _check_horizon(p: dict, key: str = "n"):
+    """The count is the number of steps of every replica in an ensemble run."""
+    _check_budget(p, (key,), HORIZON_BUDGET, "HORIZON_BUDGET", "steps per replica")
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +432,7 @@ def _cmd_sync(run: _Run, sys_: SystemSpec, p: dict):
             [(f.rate, f.intercept, f.r2, -1 if f.censored_at is None else f.censored_at)],
         )
     else:
+        _check_horizon(p)
         r = average_sync_sum(sys_, p["x"], p["y"], alpha=p["alpha"], n=p["n"], replicas=p["replicas"], seed=run.seed)
         run.table("partial_sums", ["step", "partial_sum"], list(enumerate(r.partial_sums)))
         run.table(
@@ -438,9 +455,12 @@ def _cmd_limits(run: _Run, sys_: SystemSpec, p: dict):
     law = p["law"]
     if law is None:
         raise ConfigError("params.law: required; one of ['clt', 'lil', 'sigma2', 'slln']")
-    h = observable(p["observable"], sys_.space)
     if law == "slln":
         _check_orbit_length(p, "n")
+    else:
+        _check_horizon(p)
+    h = observable(p["observable"], sys_.space)
+    if law == "slln":
         r = slln_check(sys_, h, p["x0"], p["n"] or 1_000_000, seed=run.seed)
         run.table("slln", ["checkpoint", "mean", "gap"], list(zip(r.checkpoints, r.means, r.gaps)))
         run.table(
@@ -484,6 +504,7 @@ def _cmd_limits(run: _Run, sys_: SystemSpec, p: dict):
 def _cmd_lyapunov(run: _Run, sys_: SystemSpec, p: dict):
     if p["distortion"] and sys_.space != INTERVAL and p["y"] is None:
         raise ConfigError("params.y: required for the distortion report on the circle")
+    _check_horizon(p)
     g = estimate_gamma(sys_, n=p["n"], replicas=p["replicas"], x0=p["x0"], seed=run.seed)
     run.table(
         "gamma",
@@ -512,6 +533,7 @@ def _cmd_lyapunov(run: _Run, sys_: SystemSpec, p: dict):
     exact_budget=("pint", None),
 )
 def _cmd_ld(run: _Run, sys_: SystemSpec, p: dict):
+    _check_horizon({"horizons": max(p["horizons"] or [0])}, "horizons")
     kv = dict(
         epsilons=p["epsilons"],
         horizons=None if p["horizons"] is None else tuple(p["horizons"]),
@@ -556,6 +578,7 @@ def _cmd_ld(run: _Run, sys_: SystemSpec, p: dict):
     radius=("preal", 1e-3),
 )
 def _cmd_cocycle(run: _Run, c: CocycleSpec, p: dict):
+    _check_horizon(p)
     if p["mode"] == "spectrum":
         e = estimate_spectrum(c, n=p["n"], replicas=p["replicas"], seed=run.seed)
         run.table("spectrum", ["index", "chi", "stderr"], [(i, x, s) for i, (x, s) in enumerate(zip(e.chis, e.stderr))])
@@ -583,6 +606,7 @@ def _cmd_cocycle(run: _Run, c: CocycleSpec, p: dict):
     probe_decay=("bool", False),
 )
 def _cmd_ulam(run: _Run, sys_: SystemSpec, p: dict):
+    _check_budget(p, ("k_cells",), MAX_CELLS, "MAX_CELLS", "cells")
     op = build_transfer_ulam(sys_, p["k_cells"]) if p["kind"] == "transfer" else build_laplace_markov(sys_, p["k_cells"])
     le = leading_eigen(op)
     run.table("eigen", ["index", "weight"], list(enumerate(le.weights)))
@@ -618,6 +642,8 @@ def _run_command(args) -> int:
     cmd = _COMMANDS[args.command]
     config = _load_config(args.config, args.command, {"command", cmd.subject, *cmd.keys})
     p = _params(config, cmd.schema)
+    if "replicas" in p:
+        _check_budget(p, ("replicas",), REPLICA_BUDGET, "REPLICA_BUDGET", "replicas")
     run = _Run(args, config, seeded="seed" in cmd.keys)
     resolve, echo = _SUBJECTS[cmd.subject]
     flag = getattr(args, cmd.subject, None)  # verify's --case

@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import CIRCLE, PROJECTIVE, distance
 from .systems import SystemSpec, WordStream, _resolve_word, _start_state, ensemble_apply_many, iterate
-from .util import RefusalError, Z99, linear_fit
+from .util import ArgumentError, RefusalError, Z99, linear_fit
 
 __all__ = [
     "SYNC_STREAM",
@@ -183,12 +183,20 @@ def local_contraction_probe(
     A word succeeds when diam(f_word^k(B)) <= q_target^k for every k <= n.
     On the interval and circle the ball is an arc and monotonicity makes the
     two endpoints exact; on projective space the ball is tracked through a
-    64-direction sample.
+    64-direction sample. Its diameter is sqrt(1 - g^2), with g the smallest
+    |<p_k, p_l>| over the pairs k <= l of each replica's cloud
+    (``_min_abs_inner``): the same bits as the minimum over the full Gram
+    matrix, while each step holds O(replicas * 64) floats, not the
+    replicas * 64^2 of that matrix.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not math.isfinite(radius) or radius <= 0.0:
+        raise ArgumentError(f"radius: must be a positive finite real, got {radius!r}")
+    if not math.isfinite(q_target) or q_target <= 0.0:
+        raise ArgumentError(f"q_target: must be a positive finite real, got {q_target!r}")
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ArgumentError(f"n: must be positive, got {n!r}")
+    if replicas < 1:
+        raise ArgumentError(f"replicas: must be positive, got {replicas!r}")
     stream = system.word_stream(seed, _LCP_BASE)
     qk = q_target ** np.arange(1, n + 1)
     ok = np.ones(replicas, dtype=bool)
@@ -197,10 +205,8 @@ def local_contraction_probe(
         flat = np.tile(cloud, (replicas, 1))
         for step, row in enumerate(stream.rows(n, replicas)):
             ensemble_apply_many(system, (flat,), np.repeat(row, cloud.shape[0]))
-            pts = flat.reshape(replicas, cloud.shape[0], -1)
-            g = np.einsum("rkd,rld->rkl", pts, pts)
-            min_gsq = np.min(g * g, axis=(1, 2))
-            diam = np.sqrt(np.maximum(0.0, 1.0 - min_gsq))
+            g = _min_abs_inner(flat.reshape(replicas, cloud.shape[0], -1))
+            diam = np.sqrt(np.maximum(0.0, 1.0 - g * g))
             ok &= diam <= qk[step]
         return float(np.mean(ok))
     xf = float(x)
@@ -220,6 +226,22 @@ def local_contraction_probe(
             diam = hi - lo
         ok &= diam <= qk[step]
     return float(np.mean(ok))
+
+
+def _min_abs_inner(pts: np.ndarray) -> np.ndarray:
+    """Per replica, the smallest |<p_k, p_l>| over the pairs k <= l of ``pts`` (replicas, count, d).
+
+    Sweeps the rows k of the cloud: row k's products with rows k..count-1
+    reduce into a running minimum. The Gram matrix is bitwise symmetric and
+    fl(g * g) is monotone in |g|, so the square of the result equals the
+    minimum of g * g over the full matrix bit for bit.
+    """
+    q = np.ascontiguousarray(pts.transpose(1, 0, 2))
+    best = np.full(q.shape[1], np.inf)
+    for k in range(q.shape[0]):
+        g = np.einsum("rd,lrd->lr", q[k], q[k:])
+        np.minimum(best, np.abs(g, out=g).min(axis=0), out=best)
+    return best
 
 
 def _projective_ball(system: SystemSpec, x, radius: float, count: int) -> np.ndarray:

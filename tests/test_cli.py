@@ -307,11 +307,11 @@ def test_orbit_lengths_are_capped_before_any_work(tmp_path, capsys, monkeypatch,
         ("stationary", {"burn_in": 1 << 25, "samples": 1 << 25}, "estimate_stationary"),
         ("limits", {"law": "slln", "n": 1 << 26}, "slln_check"),
         ("sync", {"n": 1 << 26}, "paired_orbit"),
-        ("sync", {"mode": "average", "n": (1 << 26) + 1}, "average_sync_sum"),
+        ("sync", {"mode": "average", "n": 1 << 20}, "average_sync_sum"),
     ],
 )
 def test_orbit_length_cap_admits_the_budget(tmp_path, monkeypatch, command, params, reached):
-    """Counts up to the cap, and counts that set no scalar orbit, reach the library."""
+    """Counts up to their caps reach the library."""
 
     class Reached(Exception):
         pass
@@ -323,6 +323,64 @@ def test_orbit_length_cap_admits_the_budget(tmp_path, monkeypatch, command, para
     cfg = _write_config(tmp_path, "c.json", {"system": "binary_affine", "params": params})
     with pytest.raises(Reached):
         main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+
+
+_ENSEMBLE_RUNS = (
+    "average_sync_sum",
+    "estimate_sigma2",
+    "clt_test",
+    "lil_statistic",
+    "estimate_gamma",
+    "distortion_report",
+    "ld_curve",
+    "sync_ld_curve",
+    "estimate_spectrum",
+    "verify_lc_rate",
+    "build_transfer_ulam",
+    "build_laplace_markov",
+)
+_REPLICAS = ("REPLICA_BUDGET", 1 << 20, "replicas")
+_HORIZON = ("HORIZON_BUDGET", 1 << 20, "steps per replica")
+_CELLS = ("MAX_CELLS", 1 << 16, "cells")
+
+
+@pytest.mark.parametrize(
+    "command, config, field, budget",
+    [
+        ("limits", {"system": "binary_affine", "params": {"law": "clt", "n": 10, "replicas": 10**400}}, "replicas", _REPLICAS),
+        ("limits", {"system": "binary_affine", "params": {"law": "sigma2", "replicas": (1 << 20) + 1}}, "replicas", _REPLICAS),
+        ("limits", {"system": "binary_affine", "params": {"law": "lil", "n": (1 << 20) + 1}}, "n", _HORIZON),
+        ("limits", {"system": "binary_affine", "params": {"law": "clt", "n": 10**400}}, "n", _HORIZON),
+        ("limits", {"system": "binary_affine", "params": {"law": "sigma2", "n": (1 << 20) + 1}}, "n", _HORIZON),
+        ("sync", {"system": "anton", "params": {"mode": "average", "n": (1 << 20) + 1}}, "n", _HORIZON),
+        ("sync", {"system": "anton", "params": {"mode": "average", "replicas": 10**400}}, "replicas", _REPLICAS),
+        ("sync", {"system": "anton", "params": {"replicas": (1 << 20) + 1}}, "replicas", _REPLICAS),
+        ("lyapunov", {"system": "anton", "params": {"n": 10**400}}, "n", _HORIZON),
+        ("lyapunov", {"system": "anton", "params": {"n": (1 << 20) + 1, "distortion": True, "y": 0.3}}, "n", _HORIZON),
+        ("lyapunov", {"system": "anton", "params": {"replicas": (1 << 20) + 1}}, "replicas", _REPLICAS),
+        ("ld", {"system": "slope_pair", "params": {"replicas": 10**400}}, "replicas", _REPLICAS),
+        ("ld", {"system": "slope_pair", "params": {"horizons": [4, 10**400]}}, "horizons", _HORIZON),
+        ("cocycle", {"cocycle": "diag_rot", "params": {"n": (1 << 20) + 1}}, "n", _HORIZON),
+        ("cocycle", {"cocycle": "diag_rot", "params": {"mode": "verify_lc", "n": 10**400}}, "n", _HORIZON),
+        ("cocycle", {"cocycle": "diag_rot", "params": {"mode": "verify_lc", "replicas": (1 << 20) + 1}}, "replicas", _REPLICAS),
+        ("ulam", {"system": "binary_affine", "params": {"k_cells": 10**400}}, "k_cells", _CELLS),
+        ("ulam", {"system": "anton", "params": {"k_cells": 1 << 17, "kind": "laplace"}}, "k_cells", _CELLS),
+    ],
+)
+def test_ensemble_counts_are_capped_before_any_work(tmp_path, capsys, monkeypatch, command, config, field, budget):
+    def not_called(*args, **kwargs):
+        raise AssertionError("an ensemble ran on a config that was going to be rejected")
+
+    for name in _ENSEMBLE_RUNS:
+        monkeypatch.setattr(rdsw.cli, name, not_called)
+    cfg = _write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    print(err)
+    name, cap, what = budget
+    assert getattr(rdsw.cli, name) == cap
+    assert err == f"config error: params.{field}: at most {name} = {cap} {what}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_output_must_be_a_string(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,9 @@ from rdsw.cocycles import CocycleSpec, cocycle_gallery, cocycle_gallery_ids, pro
 from rdsw.gallery import gallery, gallery_ids
 from rdsw.geometry import CIRCLE, PROJECTIVE, distance
 from rdsw.synchronization import (
+    _LCP_BASE,
+    _min_abs_inner,
+    _projective_ball,
     average_sync_sum,
     contraction_on_average_search,
     fit_sync_rate,
@@ -18,7 +21,8 @@ from rdsw.synchronization import (
     paired_orbit,
     proximality_probe,
 )
-from rdsw.util import RefusalError
+from rdsw.systems import ensemble_apply_many
+from rdsw.util import ArgumentError, RefusalError
 from scalar_reference import scalar_fn
 
 LOG2 = math.log(2.0)
@@ -174,6 +178,64 @@ def test_local_contraction_probe_fails_for_isometries():
     # 100 steps must catch every word violating the envelope
     frac = local_contraction_probe(sys, 0.3, radius=1e-3, n=100, replicas=64, q_target=0.9, seed=0)
     assert frac == 0.0, "rotations contract nothing"
+
+
+def _probe_systems():
+    """The projective systems above plus random 3-D and 8-D cocycles."""
+    rng = np.random.default_rng(12)
+    randoms = [[rng.normal(size=(d, d)) for _ in range(3)] for d in (3, 8)]
+    return _projective_systems() + [
+        projective_system(CocycleSpec(mats, (0.2, 0.3, 0.5), name=f"random{len(mats[0])}")) for mats in randoms
+    ]
+
+
+def _reference_gram_steps(system, radius, n, replicas, seed):
+    """The full-Gram loop the probe's row sweep replaces: each step's cloud
+    and, per replica, the minimum of g * g over its whole Gram matrix."""
+    center = np.eye(system.maps[0].dim)[0]
+    cloud = _projective_ball(system, center, radius, 64)
+    flat = np.tile(cloud, (replicas, 1))
+    for row in system.word_stream(seed, _LCP_BASE).rows(n, replicas):
+        ensemble_apply_many(system, (flat,), np.repeat(row, 64))
+        pts = flat.reshape(replicas, 64, -1)
+        g = np.einsum("rkd,rld->rkl", pts, pts)
+        yield pts, np.min(g * g, axis=(1, 2))
+
+
+@pytest.mark.parametrize("replicas", [1, 7, 256])
+@pytest.mark.parametrize("sys", _probe_systems(), ids=lambda s: s.name)
+def test_probe_diameter_matches_full_gram_bitwise(sys, replicas):
+    radius, n, q_target = 0.05, 30, 0.9
+    qk = q_target ** np.arange(1, n + 1)
+    ok = np.ones(replicas, dtype=bool)
+    for step, (pts, want) in enumerate(_reference_gram_steps(sys, radius, n, replicas, seed=3)):
+        got = _min_abs_inner(pts)
+        assert np.array_equal((got * got).view(np.uint64), want.view(np.uint64)), f"{sys.name} step {step}"
+        ok &= np.sqrt(np.maximum(0.0, 1.0 - want)) <= qk[step]
+    center = np.eye(sys.maps[0].dim)[0]
+    frac = local_contraction_probe(sys, center, radius, n, replicas, q_target, seed=3)
+    assert frac == float(np.mean(ok))
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(replicas=0), "replicas"),
+        (dict(radius=math.nan), "radius"),
+        (dict(radius=math.inf), "radius"),
+        (dict(q_target=math.nan), "q_target"),
+        (dict(q_target=math.inf), "q_target"),
+    ],
+)
+@pytest.mark.parametrize("space", ["interval", "projective"])
+def test_local_contraction_probe_names_bad_argument(kwargs, field, space):
+    if space == "projective":
+        sys, x = projective_system(cocycle_gallery("diag_rot")), [1.0, 0.0]
+    else:
+        sys, x = gallery("binary_affine"), 0.3
+    args = dict(radius=1e-3, n=10, replicas=8, q_target=0.6) | kwargs
+    with pytest.raises(ArgumentError, match=f"^{field}:"):
+        local_contraction_probe(sys, x, **args)
 
 
 def test_contraction_on_average_certificate_binary():
