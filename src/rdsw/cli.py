@@ -251,6 +251,17 @@ def _check_orbit_length(p: dict, *keys):
     _check_budget(p, keys, ORBIT_BUDGET, "ORBIT_BUDGET", "steps in one orbit")
 
 
+def _check_shards(p: dict):
+    """Every shard gets a sample, and the shards' orbits, each with its own
+    burn-in, add up to at most ``ORBIT_BUDGET`` steps."""
+    if p["shards"] > p["samples"]:
+        raise ConfigError(f"params.shards: at most params.samples = {p['samples']} shards")
+    if p["burn_in"] * p["shards"] + p["samples"] > ORBIT_BUDGET:
+        raise ConfigError(
+            f"params.burn_in * params.shards + params.samples: at most ORBIT_BUDGET = {ORBIT_BUDGET} steps in all orbits"
+        )
+
+
 def _check_horizon(p: dict, key: str = "n"):
     """The count is the number of steps of every replica in an ensemble run."""
     _check_budget(p, (key,), HORIZON_BUDGET, "HORIZON_BUDGET", "steps per replica")
@@ -280,6 +291,46 @@ def _jcell(v):
     return str(v)
 
 
+# rows formatted at a time: a table's text never sits in memory whole
+_CHUNK_ROWS = 4096
+
+
+def _chunk_cells(column, a: int, b: int, csv: bool) -> list:
+    """The cells of rows a..b of one column. A float64 array is formatted in
+    one pass over ``tolist()`` (the bytes of ``fmt``, nan, inf and -0
+    included); any other column goes through ``_cell`` or ``_jcell`` value by
+    value, so a numpy bool still prints as ``True``."""
+    part = column[a:b]
+    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+        return ["%.17g" % v for v in part.tolist()] if csv else part.tolist()
+    return [_cell(v) for v in part] if csv else [_jcell(v) for v in part]
+
+
+def _write_table(path: Path, csv: bool, header: list[str], columns: list):
+    """Stream one table to ``path`` in chunks of ``_CHUNK_ROWS`` rows.
+
+    CSV is the header line, then one line per row. JSON is the text of one
+    ``json.dumps(rows, indent=2, sort_keys=True)`` over the row dicts: the
+    chunks' bodies joined by ``",\n"`` inside ``[\n ... \n]``.
+    """
+    n_rows = len(columns[0]) if columns else 0
+    with path.open("w") as f:
+        if csv:
+            f.write(",".join(header) + "\n")
+        elif n_rows == 0:
+            f.write("[]\n")
+            return
+        for a in range(0, n_rows, _CHUNK_ROWS):
+            cells = [_chunk_cells(c, a, a + _CHUNK_ROWS, csv) for c in columns]
+            if csv:
+                f.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            else:
+                body = json.dumps([dict(zip(header, row)) for row in zip(*cells)], indent=2, sort_keys=True)
+                f.write(("[\n" if a == 0 else ",\n") + body[2:-2])
+        if not csv:
+            f.write("\n]\n")
+
+
 class _Run:
     """Resolved run settings; collects result tables, then writes them once."""
 
@@ -299,12 +350,17 @@ class _Run:
         out = args.out if args.out is not None else config.get("output")
         self.out = Path(_typed(out, "str", "output")) if out is not None else Path("rdsw_out") / self.command
         self.summary = None  # replaces the list of written files in the summary line
-        self.tables: list[tuple[str, list[str], list[tuple]]] = []
+        self.tables: list[tuple[str, list[str], list]] = []  # name, header, one sequence per field
         self.blobs: list[tuple[str, bytes]] = []
         self.t0 = time.perf_counter()
 
     def table(self, name: str, header: list[str], rows: list[tuple]):
-        self.tables.append((name, header, rows))
+        """Add a table given row by row; it is kept as columns."""
+        self.columns(name, header, list(zip(*rows)))
+
+    def columns(self, name: str, header: list[str], columns: list):
+        """Add a table given as one sequence per header field, all of one length."""
+        self.tables.append((name, header, columns))
 
     def blob(self, name: str, data: bytes):
         self.blobs.append((name, data))
@@ -312,16 +368,9 @@ class _Run:
     def write(self, resolved: dict) -> list[str]:
         self.out.mkdir(parents=True, exist_ok=True)
         written = []
-        for name, header, rows in self.tables:
-            if self.format == "csv":
-                path = self.out / f"{name}.csv"
-                lines = [",".join(header)]
-                lines += [",".join(_cell(c) for c in row) for row in rows]
-                path.write_text("\n".join(lines) + "\n")
-            else:
-                path = self.out / f"{name}.json"
-                payload = [dict(zip(header, (_jcell(c) for c in row))) for row in rows]
-                path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        for name, header, columns in self.tables:
+            path = self.out / f"{name}.{self.format}"
+            _write_table(path, self.format == "csv", header, columns)
             written.append(path.name)
         for name, data in self.blobs:
             path = self.out / name
@@ -387,6 +436,7 @@ def _command(name: str, help_text: str, subject: str = "system", keys=("seed", "
 def _cmd_stationary(run: _Run, sys_: SystemSpec, p: dict):
     _check_starts(sys_, p, "x0")
     _check_orbit_length(p, "burn_in", "samples")
+    _check_shards(p)
     m = estimate_stationary(
         sys_,
         burn_in=p["burn_in"],
@@ -398,8 +448,7 @@ def _cmd_stationary(run: _Run, sys_: SystemSpec, p: dict):
     )
     atoms = np.atleast_2d(m.atoms.T).T
     header = ["weight"] + [f"x{i}" for i in range(atoms.shape[1])]
-    rows = [tuple([w] + list(a)) for w, a in zip(m.weights, atoms)]
-    run.table("atoms", header, rows)
+    run.columns("atoms", header, [m.weights] + list(atoms.T))
     if p["diagnostic"]:
         d = atom_diagnostic(sys_, m)
         run.table(

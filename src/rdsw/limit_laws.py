@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .geometry import CIRCLE, INTERVAL, distance
-from .measures import estimate_stationary, resample
+from .measures import EmpiricalMeasure, estimate_stationary, resample
 from .systems import SystemSpec, WordStream, ensemble_apply, iterate
 from .util import RefusalError
 
@@ -36,6 +36,8 @@ _SIGMA_BASE = (4 << 16) | 1
 _CLT_BASE = (4 << 16) | 2
 _LIL_BASE = (4 << 16) | 3
 _CHECK_BASE = (4 << 16) | 9
+# stationary atoms a variance run resamples its starts from
+_SIGMA_STATIONARY = 100_000
 
 _KINDS = ("coordinate", "cos2pi", "sin2pi", "custom_tabulated")
 
@@ -197,8 +199,9 @@ def slln_check(
 
     nu_hat comes from estimate_stationary on its own derived stream; the
     verdict asks the final gap to be below 3 sqrt(sigma2_hat / n + se_nu^2),
-    where sigma2_hat comes from a small internal estimate_sigma2 run and se_nu
-    is the batch-means standard error of nu_hat over the occupation orbit.
+    where sigma2_hat comes from a small estimate_sigma2 run started from the
+    first 100k atoms of the occupation orbit, and se_nu is the batch-means
+    standard error of nu_hat over that orbit.
     Without the se_nu term the band would be tighter than the noise of the
     very plug-in it centers on.
     """
@@ -213,7 +216,9 @@ def slln_check(
     nb = 32
     bm = vals[: vals.size - vals.size % nb].reshape(nb, -1).mean(axis=1)
     se_nu = float(bm.std(ddof=1) / math.sqrt(nb))
-    sigma2_hat = estimate_sigma2(system, h, n=4096, replicas=64, seed=seed).sigma2
+    # the orbit's head is bit for bit the stationary estimate estimate_sigma2 would draw
+    head = EmpiricalMeasure(stat.atoms[:_SIGMA_STATIONARY], None, system.space)
+    sigma2_hat = _sigma2_from(system, h, head, n=4096, replicas=64, seed=seed).sigma2
     stream = system.word_stream(seed, _SLLN_BASE)
     n_top = int(checkpoints.max())
     # single orbit: cheaper and exact to run scalar, then one vectorized pass
@@ -247,7 +252,12 @@ def estimate_sigma2(
         raise RefusalError("estimate_sigma2 needs at least 30 replicas")
     if n < 64:
         raise ValueError("n is too short for a variance estimate")
-    stat = estimate_stationary(system, burn_in=1000, samples=100_000, seed=seed)
+    stat = estimate_stationary(system, burn_in=1000, samples=_SIGMA_STATIONARY, seed=seed)
+    return _sigma2_from(system, h, stat, n, replicas, seed)
+
+
+def _sigma2_from(system: SystemSpec, h, stat: EmpiricalMeasure, n: int, replicas: int, seed: int) -> Sigma2Estimate:
+    """estimate_sigma2 from a given stationary estimate ``stat``."""
     x0s = resample(stat, replicas, seed=seed).atoms
     stream = system.word_stream(seed, _SIGMA_BASE)
     ell = n // 16

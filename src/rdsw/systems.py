@@ -721,11 +721,13 @@ class WordStream:
         """The first n symbols of this stream."""
         return self._symbols(self._rng().random(int(n)))
 
-    def blocks(self, n_rows: int, width: int, max_elems: int = 1 << 21):
+    def blocks(self, n_rows: int, width: int, max_elems: int = 1 << 17):
         """Yield (start_row, block) covering an (n_rows, width) symbol matrix.
 
         Rows are replica steps or replica indices depending on the caller;
-        the matrix equals draw(n_rows * width).reshape(n_rows, width).
+        the matrix equals draw(n_rows * width).reshape(n_rows, width). A block
+        holds at most ``max_elems`` uniforms (1 MB by default), one row if a
+        row is wider; its size never changes a symbol.
         """
         rng = self._rng()
         rows = max(1, int(max_elems) // max(1, int(width)))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rdsw.cli
 import rdsw.lyapunov
+import rdsw.measures
 from rdsw.cli import main
 
 
@@ -302,12 +305,41 @@ def test_orbit_lengths_are_capped_before_any_work(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"shards": 10**400}, "params.shards: at most params.samples = 100000 shards"),
+        ({"samples": 10, "shards": 11}, "params.shards: at most params.samples = 10 shards"),
+        (
+            {"burn_in": 1 << 24, "samples": (1 << 24) + 1, "shards": 3},
+            "params.burn_in * params.shards + params.samples: at most ORBIT_BUDGET = 67108864 steps in all orbits",
+        ),
+    ],
+    ids=["huge", "over-samples", "burn-in-product"],
+)
+def test_stationary_shards_are_capped_before_any_work(tmp_path, capsys, monkeypatch, params, message):
+    """Each shard runs its own burn-in, so the shard count is capped with the total length."""
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("an orbit ran on a config that was going to be rejected")
+
+    monkeypatch.setattr(rdsw.cli, "estimate_stationary", not_called)
+    cfg = _write_config(tmp_path, "c.json", {"system": "binary_affine", "params": params})
+    assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    print(err)
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
     "command, params, reached",
     [
         ("stationary", {"burn_in": 1 << 25, "samples": 1 << 25}, "estimate_stationary"),
         ("limits", {"law": "slln", "n": 1 << 26}, "slln_check"),
         ("sync", {"n": 1 << 26}, "paired_orbit"),
         ("sync", {"mode": "average", "n": 1 << 20}, "average_sync_sum"),
+        ("stationary", {"burn_in": 1 << 24, "samples": 1 << 24, "shards": 3}, "estimate_stationary"),
+        ("stationary", {"samples": 5, "shards": 5}, "estimate_stationary"),
     ],
 )
 def test_orbit_length_cap_admits_the_budget(tmp_path, monkeypatch, command, params, reached):
@@ -575,3 +607,86 @@ def test_config_fuzz_exits_cleanly(tmp_path, capsys, config):
         assert len(err.strip().splitlines()) == 1, err
     else:  # strict JSON: NaN and infinities would reach parse_constant
         json.loads((tmp_path / "out" / "manifest.json").read_text(), parse_constant=pytest.fail)
+
+
+# ---------------------------------------------------------------------------
+# the streaming table writer
+
+
+def _reference_table(fmt: str, header: list, rows: list) -> bytes:
+    """A table written row by row: every cell through _cell or _jcell, one join or one dumps."""
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(rdsw.cli._cell(c) for c in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+    payload = [dict(zip(header, (rdsw.cli._jcell(c) for c in row))) for row in rows]
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _bare_run(tmp_path: Path, fmt: str) -> rdsw.cli._Run:
+    args = SimpleNamespace(command="t", seed=None, threads=None, out=str(tmp_path / fmt))
+    return rdsw.cli._Run(args, {"format": fmt}, seeded=False)
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, 1e-300, 5e-324, 1.7976931348623157e308, -2.5]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [0, 1, rdsw.cli._CHUNK_ROWS, rdsw.cli._CHUNK_ROWS + 1])
+def test_table_writer_matches_row_wise_reference(tmp_path, fmt, n_rows):
+    """Tables given by rows or by columns, float arrays or scalars of every kind, stream to the same bytes."""
+    rng = np.random.default_rng(n_rows)
+    floats = np.concatenate([_SPECIAL, rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)])[:n_rows]
+    ints = [int(v) for v in rng.integers(-(1 << 40), 1 << 40, n_rows)]
+    flags = [bool(v) for v in rng.integers(0, 2, n_rows)]
+    np_flags = rng.integers(0, 2, n_rows).astype(bool)
+    words = [f"w{i}" for i in range(n_rows)]
+    header = ["z_float", "int", "flag", "np_flag", "a_str", "np_int", "np_float"]
+    rows = list(zip(floats.tolist(), ints, flags, np_flags, words, np.arange(n_rows), floats))
+    assert all(type(r[3]) is np.bool_ and type(r[6]) is np.float64 for r in rows)
+    run = _bare_run(tmp_path, fmt)
+    run.table("rows", header, rows)
+    run.columns("cols", header, [floats, ints, flags, np_flags, words, np.arange(n_rows), floats.copy()])
+    run.columns("strided", ["a", "b"], list(np.stack([floats, -floats], axis=1).T))
+    run.write({})
+    expected = _reference_table(fmt, header, rows)
+    assert (tmp_path / fmt / f"rows.{fmt}").read_bytes() == expected
+    assert (tmp_path / fmt / f"cols.{fmt}").read_bytes() == expected
+    strided = _reference_table(fmt, ["a", "b"], list(zip(floats, -floats)))
+    assert (tmp_path / fmt / f"strided.{fmt}").read_bytes() == strided
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_projective_stationary_atoms_match_row_wise_reference(tmp_path, monkeypatch, fmt):
+    """A 3-d projective measure writes columns weight, x0..x2, across a chunk edge."""
+    seen = []
+
+    def keep(*args, **kwargs):
+        seen.append(rdsw.measures.estimate_stationary(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(rdsw.cli, "estimate_stationary", keep)
+    matrices = ([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    system = {"maps": [{"family": "projective", "matrix": m} for m in matrices], "probs": [0.5, 0.5]}
+    cfg = _write_config(tmp_path, "c.json", {"system": system, "format": fmt, "params": {"burn_in": 10, "samples": 5000}})
+    assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "x")]) == 0
+    (m,) = seen
+    assert m.atoms.shape == (5000, 3) and 5000 > rdsw.cli._CHUNK_ROWS
+    rows = [tuple([w] + list(a)) for w, a in zip(m.weights, m.atoms)]
+    expected = _reference_table(fmt, ["weight", "x0", "x1", "x2"], rows)
+    assert (tmp_path / "x" / f"atoms.{fmt}").read_bytes() == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stationary_write_memory_does_not_grow_with_atoms(tmp_path, monkeypatch, fmt):
+    """Writing a 100k-atom measure holds a chunk of formatted rows, not the whole file."""
+    measure = rdsw.measures.EmpiricalMeasure(np.random.default_rng(0).random(100_000), None, "interval")
+    monkeypatch.setattr(rdsw.cli, "estimate_stationary", lambda *a, **k: measure)
+    cfg = _write_config(tmp_path, "c.json", {"system": "binary_affine", "format": fmt})
+    tracemalloc.start()
+    try:
+        assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "x")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"{fmt} peak {peak / 2**20:.2f} MB")
+    assert peak < 8 * 2**20

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,10 +218,24 @@ def test_symbols_equal_searchsorted_right(probs):
     sym = ws._symbols(u)
     assert sym.dtype == np.int8
     assert np.array_equal(sym, np.searchsorted(cum, u, side="right"))
-    width = (1 << 20) + 1  # one row per block of 2^21 symbols: rows cross block edges
+    width = (1 << 20) + 1  # wider than a block: one row per block, and rows cross block edges
     rows = np.array(list(ws.rows(3, width)))
     assert rows.dtype == np.int8
     assert np.array_equal(rows, ws.draw(3 * width).reshape(3, width))
+
+
+def test_word_stream_rows_hold_a_small_block():
+    """A wide ensemble's symbol rows come from blocks of at most 2^17 uniforms, not the whole run."""
+    ws = WordStream(3, 1, (0.25, 0.75))
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in ws.rows(209, 10_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"peak {peak / 2**20:.2f} MB")
+    assert n == 209
+    assert peak < 4 * 2**20
 
 
 def test_word_stream_matches_probs():
