@@ -8,7 +8,6 @@ The registry backs both the test suite and the command line's verify command.
 
 from __future__ import annotations
 
-import io
 import math
 import time
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .operators import (
     subleading_decay,
 )
 from .synchronization import SYNC_STREAM, average_sync_sum, fit_sync_rate, paired_orbit, proximality_probe
-from .util import fmt, parallel_map
+from .util import parallel_map, table_chunks
 
 __all__ = ["CaseResult", "CASE_ORDER", "case_ids", "run_case", "QN_BATTERY"]
 
@@ -47,11 +46,7 @@ class CaseResult:
 
 
 def _csv(header: str, rows) -> bytes:
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for row in rows:
-        buf.write(",".join(str(c) if isinstance(c, (int, str)) else fmt(c) for c in row) + "\n")
-    return buf.getvalue().encode()
+    return "".join(table_chunks(header.split(","), list(zip(*rows)))).encode()
 
 
 def _case_stationary(threads: int = 1):

@@ -43,13 +43,13 @@ from .acceptance import case_ids, run_case
 from .cocycles import COCYCLE_GALLERY, CocycleSpec, cocycle_gallery, estimate_spectrum, verify_lc_rate
 from .gallery import gallery, gallery_facts
 from .geometry import INTERVAL
-from .limit_laws import clt_test, estimate_sigma2, lil_statistic, observable, slln_check
+from .limit_laws import LIL_MIN_N, clt_test, estimate_sigma2, lil_statistic, observable, slln_check
 from .lyapunov import distortion_report, estimate_gamma, ld_curve, sync_ld_curve
-from .measures import atom_diagnostic, estimate_stationary
+from .measures import MAX_SHARDS, atom_diagnostic, estimate_stationary
 from .operators import MAX_CELLS, build_laplace_markov, build_transfer_ulam, leading_eigen, spectral_gap, subleading_decay
 from .synchronization import SYNC_STREAM, average_sync_sum, fit_sync_rate, paired_orbit
 from .systems import MAX_MAPS, SystemSpec, _is_finite_real, _start_state, map_from_params
-from .util import ArgumentError, BudgetExceededError, OverflowGuardError, RefusalError, fmt
+from .util import ArgumentError, BudgetExceededError, OverflowGuardError, RefusalError, fmt, table_chunks
 
 __all__ = ["main"]
 
@@ -252,10 +252,13 @@ def _check_orbit_length(p: dict, *keys):
 
 
 def _check_shards(p: dict):
-    """Every shard gets a sample, and the shards' orbits, each with its own
-    burn-in, add up to at most ``ORBIT_BUDGET`` steps."""
+    """Every shard gets a sample, each shard owns a stream id (at most
+    ``MAX_SHARDS`` shards), and the shards' orbits, each with its own burn-in,
+    add up to at most ``ORBIT_BUDGET`` steps."""
     if p["shards"] > p["samples"]:
         raise ConfigError(f"params.shards: at most params.samples = {p['samples']} shards")
+    if p["shards"] > MAX_SHARDS:
+        raise ConfigError(f"params.shards: at most MAX_SHARDS = {MAX_SHARDS} shards")
     if p["burn_in"] * p["shards"] + p["samples"] > ORBIT_BUDGET:
         raise ConfigError(
             f"params.burn_in * params.shards + params.samples: at most ORBIT_BUDGET = {ORBIT_BUDGET} steps in all orbits"
@@ -265,70 +268,6 @@ def _check_shards(p: dict):
 def _check_horizon(p: dict, key: str = "n"):
     """The count is the number of steps of every replica in an ensemble run."""
     _check_budget(p, (key,), HORIZON_BUDGET, "HORIZON_BUDGET", "steps per replica")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt(float(v))
-    return str(v)
-
-
-def _jcell(v):
-    if isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return str(v)
-
-
-# rows formatted at a time: a table's text never sits in memory whole
-_CHUNK_ROWS = 4096
-
-
-def _chunk_cells(column, a: int, b: int, csv: bool) -> list:
-    """The cells of rows a..b of one column. A float64 array is formatted in
-    one pass over ``tolist()`` (the bytes of ``fmt``, nan, inf and -0
-    included); any other column goes through ``_cell`` or ``_jcell`` value by
-    value, so a numpy bool still prints as ``True``."""
-    part = column[a:b]
-    if isinstance(part, np.ndarray) and part.dtype == np.float64:
-        return ["%.17g" % v for v in part.tolist()] if csv else part.tolist()
-    return [_cell(v) for v in part] if csv else [_jcell(v) for v in part]
-
-
-def _write_table(path: Path, csv: bool, header: list[str], columns: list):
-    """Stream one table to ``path`` in chunks of ``_CHUNK_ROWS`` rows.
-
-    CSV is the header line, then one line per row. JSON is the text of one
-    ``json.dumps(rows, indent=2, sort_keys=True)`` over the row dicts: the
-    chunks' bodies joined by ``",\n"`` inside ``[\n ... \n]``.
-    """
-    n_rows = len(columns[0]) if columns else 0
-    with path.open("w") as f:
-        if csv:
-            f.write(",".join(header) + "\n")
-        elif n_rows == 0:
-            f.write("[]\n")
-            return
-        for a in range(0, n_rows, _CHUNK_ROWS):
-            cells = [_chunk_cells(c, a, a + _CHUNK_ROWS, csv) for c in columns]
-            if csv:
-                f.write("".join(",".join(row) + "\n" for row in zip(*cells)))
-            else:
-                body = json.dumps([dict(zip(header, row)) for row in zip(*cells)], indent=2, sort_keys=True)
-                f.write(("[\n" if a == 0 else ",\n") + body[2:-2])
-        if not csv:
-            f.write("\n]\n")
 
 
 class _Run:
@@ -370,7 +309,8 @@ class _Run:
         written = []
         for name, header, columns in self.tables:
             path = self.out / f"{name}.{self.format}"
-            _write_table(path, self.format == "csv", header, columns)
+            with path.open("w") as f:
+                f.writelines(table_chunks(header, columns, self.format == "csv"))
             written.append(path.name)
         for name, data in self.blobs:
             path = self.out / name
@@ -508,6 +448,8 @@ def _cmd_limits(run: _Run, sys_: SystemSpec, p: dict):
         _check_orbit_length(p, "n")
     else:
         _check_horizon(p)
+    if law == "lil" and p["n"] is not None and p["n"] < LIL_MIN_N:
+        raise ConfigError(f"params.n: must be at least {LIL_MIN_N} for the lil law, got {p['n']}")
     h = observable(p["observable"], sys_.space)
     if law == "slln":
         r = slln_check(sys_, h, p["x0"], p["n"] or 1_000_000, seed=run.seed)
@@ -551,8 +493,13 @@ def _cmd_limits(run: _Run, sys_: SystemSpec, p: dict):
     y=("real", None),
 )
 def _cmd_lyapunov(run: _Run, sys_: SystemSpec, p: dict):
-    if p["distortion"] and sys_.space != INTERVAL and p["y"] is None:
-        raise ConfigError("params.y: required for the distortion report on the circle")
+    y = p["y"]
+    if p["distortion"]:
+        if sys_.space != INTERVAL and y is None:
+            raise ConfigError("params.y: required for the distortion report on the circle")
+        y = y if y is not None else min(1.0, p["x0"] + 0.25)
+        if y == p["x0"]:
+            raise ConfigError(f"params.y: the distortion report needs y != params.x0, got {y!r} for both")
     _check_horizon(p)
     g = estimate_gamma(sys_, n=p["n"], replicas=p["replicas"], x0=p["x0"], seed=run.seed)
     run.table(
@@ -561,7 +508,6 @@ def _cmd_lyapunov(run: _Run, sys_: SystemSpec, p: dict):
         [(g.gamma_hat, g.stderr, g.one_step, g.one_step_stderr, g.consistent)],
     )
     if p["distortion"]:
-        y = p["y"] if p["y"] is not None else min(1.0, p["x0"] + 0.25)
         d = distortion_report(sys_, p["x0"], y, n=p["n"], replicas=min(p["replicas"], 256), seed=run.seed)
         run.table("distortion", ["delta", "omega"], list(zip(d.deltas, d.omega_grid)))
         run.table(
@@ -583,6 +529,8 @@ def _cmd_lyapunov(run: _Run, sys_: SystemSpec, p: dict):
 )
 def _cmd_ld(run: _Run, sys_: SystemSpec, p: dict):
     _check_horizon({"horizons": max(p["horizons"] or [0])}, "horizons")
+    if p["y"] == p["x0"]:
+        raise ConfigError(f"params.y: the pair-distance curve needs y != params.x0, got {p['y']!r} for both")
     kv = dict(
         epsilons=p["epsilons"],
         horizons=None if p["horizons"] is None else tuple(p["horizons"]),
@@ -591,13 +539,10 @@ def _cmd_ld(run: _Run, sys_: SystemSpec, p: dict):
     )
     if p["exact_budget"] is not None:
         kv["exact_budget"] = p["exact_budget"]
-    try:
-        if p["y"] is None:
-            curve = ld_curve(sys_, x0=p["x0"], **kv)
-        else:
-            curve = sync_ld_curve(sys_, p["x0"], p["y"], **kv)
-    except ArgumentError as e:  # the curve builders name the argument at fault first
-        raise ConfigError(f"params.{e}") from e
+    if p["y"] is None:
+        curve = ld_curve(sys_, x0=p["x0"], **kv)
+    else:
+        curve = sync_ld_curve(sys_, p["x0"], p["y"], **kv)
     run.blob("ld.csv", curve.to_csv().encode())
     flagged = [int(n) for n, f in zip(curve.horizons, curve.flagged_horizons) if f]
     run.table(
@@ -697,7 +642,12 @@ def _run_command(args) -> int:
     resolve, echo = _SUBJECTS[cmd.subject]
     flag = getattr(args, cmd.subject, None)  # verify's --case
     subject = resolve(flag if flag is not None else config.get(cmd.subject))
-    code = cmd.body(run, subject, p) or 0
+    try:
+        code = cmd.body(run, subject, p) or 0
+    except ArgumentError as e:  # the library names the argument at fault first
+        if str(e).split(":", 1)[0] not in cmd.schema:
+            raise
+        raise ConfigError(f"params.{e}") from e
     written = run.write({cmd.subject: echo(subject), "params": p})
     print(f"{run.command}: {run.summary or 'wrote ' + ', '.join(written)} in {run.out}")
     return code

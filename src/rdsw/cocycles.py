@@ -16,7 +16,7 @@ import numpy as np
 
 from .synchronization import local_contraction_probe
 from .systems import MAX_MAPS, ProjectiveMap, SystemSpec, WordStream, _resolve_word, _square_matrix
-from .util import OverflowGuardError, RefusalError
+from .util import ArgumentError, OverflowGuardError, RefusalError
 
 __all__ = [
     "QR_BLOCK",
@@ -127,8 +127,8 @@ def _reorth(b: np.ndarray, logs: np.ndarray):
     return q
 
 
-def product_stream(cocycle: CocycleSpec, word, n: int, block: int = QR_BLOCK) -> ProductResult:
-    """Product of n sampled matrices with periodic QR re-orthonormalization.
+def product_stream(cocycle: CocycleSpec, word, n: int) -> ProductResult:
+    """Product of n sampled matrices, re-orthonormalized by QR every ``QR_BLOCK`` steps.
 
     ``word`` is a WordStream or an explicit symbol array. log_diag[j] sums the
     log diagonal entries of the R factors, so log_diag / n estimates the j-th
@@ -144,9 +144,9 @@ def product_stream(cocycle: CocycleSpec, word, n: int, block: int = QR_BLOCK) ->
     with np.errstate(over="ignore", invalid="ignore"):
         for k, s in enumerate(symbols.tolist()):
             b = cocycle.matrices[s] @ b
-            if (k + 1) % block == 0:
+            if (k + 1) % QR_BLOCK == 0:
                 b = _reorth(b, logs)
-        if n % block:
+        if n % QR_BLOCK:
             b = _reorth(b, logs)
     return ProductResult(logs, b, n)
 
@@ -160,8 +160,10 @@ def estimate_spectrum(
     difference of the top two and q_lc = exp(-gap_top / 2) is the local
     contraction rate target implied by the gap.
     """
-    if n < 1 or replicas < 2:
-        raise ValueError("estimate_spectrum needs n >= 1 and replicas >= 2")
+    if n < 1:
+        raise ArgumentError(f"n: must be positive, got {n}")
+    if replicas < 2:
+        raise ArgumentError(f"replicas: must be at least 2, got {replicas}")
     d = cocycle.dim
     stream = cocycle.word_stream(seed, _SPECTRUM_BASE)
     mats = np.stack(cocycle.matrices)
@@ -181,30 +183,29 @@ def estimate_spectrum(
     return SpectrumEstimate(chis, stderr, gap_top, math.exp(-gap_top / 2.0), n, replicas)
 
 
-def projective_system(cocycle: CocycleSpec, name: str | None = None) -> SystemSpec:
-    """The projectivized cocycle as a SystemSpec on direction space."""
+def projective_system(cocycle: CocycleSpec) -> SystemSpec:
+    """The projectivized cocycle as a SystemSpec on direction space, named ``<name>_projective``."""
     maps = tuple(ProjectiveMap(m) for m in cocycle.matrices)
-    label = name if name is not None else (cocycle.name + "_projective" if cocycle.name else "")
+    label = cocycle.name + "_projective" if cocycle.name else ""
     return SystemSpec(maps, tuple(float(q) for q in cocycle.probs), name=label)
 
 
 def verify_lc_rate(
     cocycle: CocycleSpec,
-    x=None,
     radius: float = 1e-3,
     n: int = 200,
     replicas: int = 256,
     seed: int = 0,
-    spectrum: SpectrumEstimate | None = None,
 ) -> LcVerification:
     """Check the projectivized cocycle contracts small balls at the gap rate.
 
     Runs the ball probe at q_target = (1 + q_lc) / 2, halfway between the
     spectral prediction and no contraction at all. Refuses when the top gap
     is not positive (an isometric or gapless cocycle has no rate to verify).
-    The default center is the first coordinate axis.
+    The spectrum is estimated over 1000 steps and 64 replicas, and the ball
+    is centered on the first coordinate axis.
     """
-    est = spectrum if spectrum is not None else estimate_spectrum(cocycle, 1000, 64, seed)
+    est = estimate_spectrum(cocycle, 1000, 64, seed)
     if est.gap_top <= 1e-9:
         raise RefusalError(
             f"top Lyapunov gap {est.gap_top:.3e} is not positive; "
@@ -213,8 +214,6 @@ def verify_lc_rate(
     q_target = (1.0 + est.q_lc) / 2.0
     center = np.zeros(cocycle.dim)
     center[0] = 1.0
-    if x is not None:
-        center = np.asarray(x, dtype=float)
     frac = local_contraction_probe(
         projective_system(cocycle), center, radius, n, replicas, q_target, seed
     )

@@ -16,7 +16,7 @@ from scipy.special import ndtr
 from .geometry import CIRCLE, INTERVAL, distance
 from .measures import EmpiricalMeasure, estimate_stationary, resample
 from .systems import SystemSpec, WordStream, ensemble_apply, iterate
-from .util import RefusalError
+from .util import ArgumentError, RefusalError
 
 __all__ = [
     "Observable",
@@ -38,6 +38,8 @@ _LIL_BASE = (4 << 16) | 3
 _CHECK_BASE = (4 << 16) | 9
 # stationary atoms a variance run resamples its starts from
 _SIGMA_STATIONARY = 100_000
+# the shortest horizon lil_statistic accepts
+LIL_MIN_N = 10_000
 
 _KINDS = ("coordinate", "cos2pi", "sin2pi", "custom_tabulated")
 
@@ -192,10 +194,9 @@ def slln_check(
     h,
     x0,
     n: int,
-    checkpoints=None,
     seed: int = 0,
 ) -> SllnResult:
-    """Track |S_m/m - nu_hat| along one orbit at geometric checkpoints.
+    """Track |S_m/m - nu_hat| along one orbit at 24 geometric checkpoints from 10 to n.
 
     nu_hat comes from estimate_stationary on its own derived stream; the
     verdict asks the final gap to be below 3 sqrt(sigma2_hat / n + se_nu^2),
@@ -205,11 +206,9 @@ def slln_check(
     Without the se_nu term the band would be tighter than the noise of the
     very plug-in it centers on.
     """
-    if checkpoints is None:
-        checkpoints = np.unique(np.geomspace(10, n, 24).astype(np.int64))
-    checkpoints = np.unique(np.asarray(checkpoints, dtype=np.int64))
-    if checkpoints.min() < 1 or checkpoints.max() > n:
-        raise ValueError("checkpoints must lie in [1, n]")
+    if n < 10:
+        raise ArgumentError(f"n: must be at least 10, the first checkpoint, got {n}")
+    checkpoints = np.unique(np.geomspace(10, n, 24).astype(np.int64))
     stat = estimate_stationary(system, burn_in=1000, samples=200_000, seed=seed)
     nu_hat = stat.mean_of(h)
     vals = np.asarray(h(stat.atoms), dtype=float)
@@ -251,7 +250,7 @@ def estimate_sigma2(
     if replicas < 30:
         raise RefusalError("estimate_sigma2 needs at least 30 replicas")
     if n < 64:
-        raise ValueError("n is too short for a variance estimate")
+        raise ArgumentError(f"n: must be at least 64 for a variance estimate, got {n}")
     stat = estimate_stationary(system, burn_in=1000, samples=_SIGMA_STATIONARY, seed=seed)
     return _sigma2_from(system, h, stat, n, replicas, seed)
 
@@ -293,7 +292,7 @@ def clt_test(
     which passes only when every normalized sum is numerically zero.
     """
     if replicas < 100:
-        raise ValueError("clt_test needs replicas >= 100")
+        raise ArgumentError(f"replicas: must be at least 100, got {replicas}")
     stream = system.word_stream(seed, _CLT_BASE)
     x0s = np.full(replicas, float(x0))
     s, _ = _ensemble_sums(system, h, x0s, n, stream)
@@ -326,8 +325,8 @@ def lil_statistic(
     self-consistent plug-ins as clt_test. The verdict asks the replica median
     to land in [0.5, 1.5].
     """
-    if n_max < 10_000:
-        raise ValueError("lil_statistic needs n_max >= 10^4")
+    if n_max < LIL_MIN_N:
+        raise ArgumentError(f"n_max: must be at least {LIL_MIN_N}, got {n_max}")
     checkpoints = np.unique(np.geomspace(100, n_max, 48).astype(np.int64))
     stream = system.word_stream(seed, _LIL_BASE)
     x0s = np.full(replicas, float(x0))

@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import CIRCLE, coordinate_grid, distance
 from .measures import estimate_stationary
 from .systems import WORD_BUDGET, SystemSpec, ensemble_apply, ensemble_apply_many, word_levels
-from .util import ArgumentError, RefusalError, fmt, linear_fit, wilson_interval
+from .util import ArgumentError, RefusalError, linear_fit, table_chunks, wilson_interval
 
 __all__ = [
     "GammaEstimate",
@@ -78,14 +78,18 @@ class LDCurve:
     gamma_gap: float
 
     def to_csv(self) -> str:
-        lines = ["epsilon,n,prob,ci_low,ci_high,fitted_rate"]
-        for i, e in enumerate(self.epsilons):
-            for j, n in enumerate(self.horizons):
-                lines.append(
-                    f"{fmt(e)},{int(n)},{fmt(self.probs[i, j])},{fmt(self.ci_low[i, j])},"
-                    f"{fmt(self.ci_high[i, j])},{fmt(self.fitted_rates[i])}"
-                )
-        return "\n".join(lines) + "\n"
+        """One row per (epsilon, horizon), epsilon-major."""
+        ne, nh = len(self.epsilons), len(self.horizons)
+        header = ["epsilon", "n", "prob", "ci_low", "ci_high", "fitted_rate"]
+        columns = [
+            np.repeat(self.epsilons, nh),
+            np.tile(self.horizons, ne),
+            self.probs.ravel(),
+            self.ci_low.ravel(),
+            self.ci_high.ravel(),
+            np.repeat(self.fitted_rates, nh),
+        ]
+        return "".join(table_chunks(header, columns))
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,10 @@ def estimate_gamma(
     allowance is what keeps exactly-representable systems, where both spreads
     are zero, from flagging over one rounding of a mean).
     """
-    if n < 1 or replicas < 2:
-        raise ValueError("estimate_gamma needs n >= 1 and replicas >= 2")
+    if n < 1:
+        raise ArgumentError(f"n: must be positive, got {n}")
+    if replicas < 2:
+        raise ArgumentError(f"replicas: must be at least 2, got {replicas}")
     if not all(m.has_derivative for m in system.maps):
         raise RefusalError("estimate_gamma needs derivative support for every map")
     stream = system.word_stream(seed, _GAMMA_BASE)
@@ -373,7 +379,7 @@ def sync_ld_curve(
     """
     _check_exact_budget(exact_budget)
     if float(x) == float(y):
-        raise ValueError("sync_ld_curve needs two distinct starting points")
+        raise ArgumentError(f"y: must differ from x, got {float(y)!r} for both")
     g = _resolve_gamma(system, x, seed, gamma_hat)
     builder = _SyncStat(system, x, y, g)
     return _build_curve(system, builder, epsilons, horizons, replicas, seed, g, exact_budget)
@@ -385,15 +391,15 @@ def distortion_report(
     y: float,
     n: int = 1000,
     replicas: int = 256,
-    delta_ladder=None,
     seed: int = 0,
 ) -> DistortionReport:
     """Distortion diagnostics for the arc carried between a synchronizing pair.
 
     omega_grid tabulates the modulus of continuity of log |f'| per map on a
-    4096-point grid at each ladder scale. Along ``replicas`` sampled words the
-    contracted arc between the pair is tracked through a 32-point grid; the
-    per-step max derivative ratio max exp(S_z - S_w) is averaged over words.
+    4096-point grid at each of 8 geometric ladder scales from 1e-4 to 0.25.
+    Along ``replicas`` sampled words the contracted arc between the pair is
+    tracked through a 32-point grid; the per-step max derivative ratio
+    max exp(S_z - S_w) is averaged over words.
     On the circle both candidate arcs are tracked and the one that actually
     contracted (smaller final length; ties to the shorter initial arc) is
     reported, matching the orientation convention.
@@ -401,12 +407,8 @@ def distortion_report(
     if not all(m.has_derivative for m in system.maps):
         raise RefusalError("distortion_report needs derivative support for every map")
     if float(x) == float(y):
-        raise ValueError("distortion_report needs two distinct points")
-    deltas = (
-        np.geomspace(1e-4, 0.25, 8) if delta_ladder is None else np.asarray(delta_ladder, float)
-    )
-    if np.any(deltas <= 0.0) or np.any(np.diff(deltas) <= 0.0):
-        raise ValueError("delta ladder must be positive and increasing")
+        raise ArgumentError(f"y: must differ from x, got {float(y)!r} for both")
+    deltas = np.geomspace(1e-4, 0.25, 8)
     omega = _omega_grid(system, deltas)
     circle = system.space == CIRCLE
     xf, yf = float(x), float(y)

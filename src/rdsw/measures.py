@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import CIRCLE, INTERVAL, PROJECTIVE, coordinate_grid, distance, signed_circle_difference
 from .systems import SystemSpec, WordStream, iterate
-from .util import RefusalError, parallel_map, weighted_median
+from .util import ArgumentError, RefusalError, parallel_map, weighted_median
 
 __all__ = [
     "EmpiricalMeasure",
@@ -31,6 +31,11 @@ __all__ = [
 # stream id layout: (op base << 16) | shard
 _STATIONARY_BASE = 1 << 16
 _RESAMPLE_BASE = 2 << 16
+# shard j draws stream _STATIONARY_BASE + j, so more shards would reach _RESAMPLE_BASE
+MAX_SHARDS = 1 << 16
+# the atom diagnostic's fixed conventions: ball radius and Dirac mass threshold
+_BALL_RADIUS = 1e-3
+_DIRAC_MASS = 0.99
 
 
 class EmpiricalMeasure:
@@ -130,19 +135,19 @@ def estimate_stationary(
 ) -> EmpiricalMeasure:
     """Occupation measure of seeded orbits after burn-in, equal weights.
 
-    One long orbit by default. With shards > 1 the samples are split over
-    that many independent orbits (stream ids derived from the seed and the
-    shard index) and merged by concatenation in shard order, so the result
-    depends on (seed, shards) but never on thread count. x0 defaults to 0.5
+    One long orbit by default. With shards > 1 (at most ``MAX_SHARDS``) the
+    samples are split over that many independent orbits (shard j draws
+    stream ``(1 << 16) + j``) and merged by concatenation in shard order, so
+    the result depends on (seed, shards) but never on thread count. x0 defaults to 0.5
     (first basis direction on projective space); burn_in makes the choice
     immaterial.
     """
     if samples < 1:
-        raise ValueError("samples must be positive")
-    if shards < 1:
-        raise ValueError("shards must be positive")
+        raise ArgumentError(f"samples: must be positive, got {samples}")
+    if not 1 <= shards <= MAX_SHARDS:
+        raise ArgumentError(f"shards: must lie in [1, MAX_SHARDS = {MAX_SHARDS}], got {shards}")
     if burn_in < 0:
-        raise ValueError("burn_in cannot be negative")
+        raise ArgumentError(f"burn_in: cannot be negative, got {burn_in}")
     start = _default_x0(system) if x0 is None else x0
     per = [samples // shards + (1 if j < samples % shards else 0) for j in range(shards)]
 
@@ -266,17 +271,12 @@ def _max_ball_mass(m: EmpiricalMeasure, radius: float) -> float:
     return float(mass.max())
 
 
-def atom_diagnostic(
-    system: SystemSpec,
-    m: EmpiricalMeasure,
-    radius: float = 1e-3,
-    dirac_mass: float = 0.99,
-) -> AtomDiagnostic:
+def atom_diagnostic(system: SystemSpec, m: EmpiricalMeasure) -> AtomDiagnostic:
     """Classify an estimated stationary measure as a common-fixed-point Dirac,
     consistent with nonatomic, or inconclusive.
 
-    Dirac: at least ``dirac_mass`` of the weight within ``radius`` of a point
-    fixed by every map. Nonatomic-consistent: the largest ball of that radius
+    Dirac: at least 0.99 of the weight within 1e-3 of a point fixed by
+    every map. Nonatomic-consistent: the largest ball of that radius
     carries no more than 5 times the uniform expectation plus three binomial
     standard deviations. The binomial test needs expected ball count
     n_eff * p >= 5 (n_eff = 1 / sum w_i^2); below that the verdict is
@@ -290,13 +290,13 @@ def atom_diagnostic(
     fixed = _common_fixed_points(system)
     n_eff = 1.0 / float(np.sum(m.weights**2))
     for x in fixed:
-        mass = float(np.sum(m.weights[distance(m.space, m.atoms, x) <= radius]))
-        if mass >= dirac_mass:
-            return AtomDiagnostic("dirac_at_common_fixed_point", fixed, mass, dirac_mass, n_eff)
-    p_ball = min(1.0, 2.0 * radius)
+        mass = float(np.sum(m.weights[distance(m.space, m.atoms, x) <= _BALL_RADIUS]))
+        if mass >= _DIRAC_MASS:
+            return AtomDiagnostic("dirac_at_common_fixed_point", fixed, mass, _DIRAC_MASS, n_eff)
+    p_ball = min(1.0, 2.0 * _BALL_RADIUS)
     if n_eff * p_ball < 5.0:
         return AtomDiagnostic("inconclusive", fixed, float("nan"), float("nan"), n_eff)
     thr = 5.0 * (p_ball + 3.0 * np.sqrt(p_ball * (1.0 - p_ball) / n_eff))
-    top = _max_ball_mass(m, radius)
+    top = _max_ball_mass(m, _BALL_RADIUS)
     verdict = "nonatomic_consistent" if top <= thr else "inconclusive"
     return AtomDiagnostic(verdict, fixed, top, float(thr), n_eff)

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .geometry import CIRCLE, PROJECTIVE, coordinate_grid, distance, signed_circle_difference
 from .systems import SystemSpec, TabulatedMap, ensemble_apply, word_levels
-from .util import RefusalError, fmt
+from .util import ArgumentError, RefusalError, fmt
 
 __all__ = [
     "UlamOperator",
@@ -150,7 +150,7 @@ class QnIdentity:
 
 def _check_cells(k_cells: int):
     if k_cells < 2 or k_cells & (k_cells - 1) or k_cells > MAX_CELLS:
-        raise ValueError(f"k_cells must be a power of two in [2, {MAX_CELLS}], got {k_cells}")
+        raise ArgumentError(f"k_cells: must be a power of two in [2, {MAX_CELLS}], got {k_cells}")
 
 
 def _pieces_interval(m, k: int):
@@ -295,12 +295,15 @@ def build_laplace_markov(system: SystemSpec, k_cells: int) -> UlamOperator:
     return UlamOperator(q, k_cells, system.space, "laplace_markov", n, tuple(quad))
 
 
-def leading_eigen(op: UlamOperator, tol: float = 1e-12, max_iter: int = 4096) -> LeadingEigen:
+def leading_eigen(op: UlamOperator) -> LeadingEigen:
     """Stationary row vector by measure-side (adjoint) power iteration.
 
-    Starts from the uniform vector; non-convergence is reported through the
-    residual rather than raised, matching the diagnostic role of the output.
+    Starts from the uniform vector and stops once an iteration moves it by at
+    most 1e-12 in l1, or after 4096 iterations; non-convergence is reported
+    through the residual rather than raised, matching the diagnostic role of
+    the output.
     """
+    tol, max_iter = 1e-12, 4096
     w = np.full(op.size, 1.0 / op.size)
     lam = 1.0
     res = math.inf
@@ -323,7 +326,7 @@ def spectral_gap(op: UlamOperator, m_eigs: int = 6) -> SpectralGap:
     estimate (documented as an estimate, not a certified spectrum).
     """
     if m_eigs < 2:
-        raise ValueError("m_eigs must be at least 2")
+        raise ArgumentError(f"m_eigs: must be at least 2, got {m_eigs}")
     if op.size <= DENSE_LIMIT:
         vals = np.linalg.eigvals(op.to_dense())
         method = "dense"
@@ -340,13 +343,15 @@ def spectral_gap(op: UlamOperator, m_eigs: int = 6) -> SpectralGap:
     return SpectralGap(moduli, gap, method)
 
 
-def subleading_decay(op: UlamOperator, max_iters: int = 64, floor: float = 1e-12) -> DecayEstimate:
+def subleading_decay(op: UlamOperator) -> DecayEstimate:
     """Decay rate of the centered linear probe under repeated application.
 
     The probe is the cell-midpoint coordinate minus its stationary mean
     (tiled across symbol blocks for the product operator); iteration stops
-    when the sup norm falls below floor times its starting value.
+    after 64 steps, or once the sup norm falls below 1e-12 times its
+    starting value.
     """
+    max_iters, floor = 64, 1e-12
     le = leading_eigen(op)
     w = le.weights
     mids = np.tile(op.midpoints(), op.blocks)
@@ -413,25 +418,19 @@ def qn_identity_test(
     return QnIdentity(kernel, mc, se, float(z), bool(abs(z) < 4.0))
 
 
-def holder_norm(
-    phi,
-    alpha: float,
-    grid_k: int = 4096,
-    n_symbols: int = 2,
-    space: str = CIRCLE,
-) -> HolderNormEstimate:
-    """Grid estimate of the symbol-uniform Holder norm of phi(j, x).
+def holder_norm(phi, alpha: float, space: str = CIRCLE) -> HolderNormEstimate:
+    """Grid estimate of the symbol-uniform Holder norm of phi(j, x), j in {0, 1}.
 
-    The pairwise supremum over an equispaced grid is a lower bound of the true
-    seminorm (it only sees grid pairs); sup_norm is exact on the grid. The
-    coordinate function on the circle makes the estimate diverge linearly in
-    grid_k because wrap-around pairs are close in metric but far in value;
-    that growth is the documented non-example rather than a defect.
+    The pairwise supremum over an equispaced 4096-point grid is a lower bound
+    of the true seminorm (it only sees grid pairs); sup_norm is exact on the
+    grid. The coordinate function on the circle makes the estimate diverge
+    linearly in the grid size because wrap-around pairs are close in metric
+    but far in value; that growth is the documented non-example rather than a
+    defect.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if grid_k < 2 or grid_k > 4096:
-        raise ValueError("grid_k must lie in [2, 4096]")
+    grid_k, n_symbols = 4096, 2
     xs = coordinate_grid(space, grid_k)
     sup = 0.0
     semi = 0.0
@@ -449,7 +448,7 @@ def holder_norm(
     return HolderNormEstimate(sup, semi, float(alpha))
 
 
-def log_deriv_integral(system: SystemSpec, k_cells: int = 4096, op=None) -> float:
+def log_deriv_integral(system: SystemSpec, k_cells: int = 4096) -> float:
     """The double integral of log |f'| against the Ulam stationary vector.
 
     Cross-checks estimate_gamma: cell weights come from leading_eigen of the
@@ -458,8 +457,7 @@ def log_deriv_integral(system: SystemSpec, k_cells: int = 4096, op=None) -> floa
     """
     if not all(m.has_derivative for m in system.maps):
         raise RefusalError("log-derivative integral needs derivative support")
-    if op is None:
-        op = build_transfer_ulam(system, k_cells)
+    op = build_transfer_ulam(system, k_cells)
     le = leading_eigen(op)
     cellw = le.weights.reshape(op.blocks, op.k_cells).sum(axis=0)
     mids = op.midpoints()
@@ -469,8 +467,8 @@ def log_deriv_integral(system: SystemSpec, k_cells: int = 4096, op=None) -> floa
     return float(np.sum(cellw * g))
 
 
-def bilipschitz_bound(system: SystemSpec, grid_k: int = 4096):
-    """Grid bi-Lipschitz constant L: max over maps of sup |f'| and sup 1/|f'|.
+def bilipschitz_bound(system: SystemSpec):
+    """Grid bi-Lipschitz constant L: max over maps of sup |f'| and sup 1/|f'| on 4096 points.
 
     Falls back to secant slopes for maps without derivative support, flagging
     the estimate; the returned L then carries discretization error.
@@ -478,6 +476,7 @@ def bilipschitz_bound(system: SystemSpec, grid_k: int = 4096):
     if system.space == PROJECTIVE:
         raise RefusalError("bi-Lipschitz grid bound is defined for 1-D phase spaces")
     circle = system.space == CIRCLE
+    grid_k = 4096
     xs = coordinate_grid(system.space, grid_k)
     best = 1.0
     secant = False

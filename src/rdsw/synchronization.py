@@ -33,8 +33,9 @@ __all__ = [
 
 DISTANCE_FLOOR = 1e-14
 
-SYNC_STREAM = 3 << 16  # stream id of the word behind a sync-rate trace
-_AVG_BASE = 3 << 16
+# stream id of the word behind a sync-rate trace; average_sync_sum draws its
+# words from the same id, and giving it its own would change its bytes
+SYNC_STREAM = 3 << 16
 _LCP_BASE = (3 << 16) | 1
 _CAS_BASE = (3 << 16) | 2
 _CAS_PAIRS = (3 << 16) | 3
@@ -112,20 +113,20 @@ def paired_orbit(system: SystemSpec, x, y, word, n: int) -> SyncTrace:
     return SyncTrace(distance(system.space, xs, ys), x, y, seed, sid)
 
 
-def fit_sync_rate(trace: SyncTrace, floor: float = DISTANCE_FLOOR) -> RateFit:
+def fit_sync_rate(trace: SyncTrace) -> RateFit:
     """Exponential decay rate of a distance trace by least squares on log d.
 
-    Entries below the floor are censored; fewer than 8 usable entries is a
-    refusal rather than a fit.
+    Entries below ``DISTANCE_FLOOR`` are censored; fewer than 8 usable
+    entries is a refusal rather than a fit.
     """
     d = np.asarray(trace.distances, dtype=float)
-    usable = d >= floor
+    usable = d >= DISTANCE_FLOOR
     below = np.nonzero(~usable)[0]
     censored_at = int(below[0]) if below.size else None
     ks = np.nonzero(usable)[0]
     if ks.size < 8:
         raise RefusalError(
-            f"only {ks.size} distances at or above the floor {floor:g}; "
+            f"only {ks.size} distances at or above the floor {DISTANCE_FLOOR:g}; "
             "need at least 8 for a rate fit"
         )
     slope, intercept, r2 = linear_fit(ks.astype(float), np.log(d[ks]))
@@ -148,10 +149,10 @@ def average_sync_sum(
     steps contributes under 1% of the total.
     """
     if replicas < 100:
-        raise ValueError("average_sync_sum needs replicas >= 100")
+        raise ArgumentError(f"replicas: must be at least 100, got {replicas}")
     if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    stream = system.word_stream(seed, _AVG_BASE)
+        raise ArgumentError(f"alpha: must lie in (0, 1], got {alpha}")
+    stream = system.word_stream(seed, SYNC_STREAM)
     a0 = _start_state(system, x)
     b0 = _start_state(system, y)
     av = np.full((replicas, *np.shape(a0)), a0)

@@ -94,26 +94,26 @@ class MapSpec:
     ``__call__``/``deriv`` accept floats or arrays and are the canonical
     evaluator; ``deriv`` is the signed derivative of the lift. A family with a
     coefficient table names in ``_table`` the class whose static methods are
-    its formula, and gives its coefficients as ``table_row()``. ``_arg(x,
-    *row)`` is what image and slope have in common (None when they share
-    nothing), and ``_image_at(x, t, *row)``/``_slope_at(x, t, *row)`` finish
-    each from ``t = _arg(x, *row)``, so a log-derivative step evaluates
-    ``_arg`` once for both (``_image``/``_slope`` do either alone). The
-    ``__call__``/``deriv``
-    defined here evaluate that formula on the map's own row, and
-    ``ensemble_apply`` on the rows gathered by each state's symbol, so both
-    paths round alike. A family without a table (``_table`` None) defines its
-    own ``__call__``/``deriv``, which also step its ensembles.
+    its formula, and gives its coefficients as ``table_row()``. ``_step(x,
+    slope, *row)`` is the family's one numpy formula: it returns the image of
+    ``x`` and, only when ``slope`` is true, the derivative there (else None),
+    evaluating their shared part once. The ``__call__``/``deriv`` defined here
+    run it on the map's own row, and ``ensemble_apply`` on the rows gathered
+    by each state's symbol, so both paths round alike. A family without a
+    table (``_table`` None) defines its own ``__call__``/``deriv``; the
+    ``_step`` and ``_orbit`` defined here then step its ensembles and orbits
+    through them.
 
-    The table class's static ``_orbit(x, symbols, *columns)`` is the family's
-    single-orbit kernel, which ``iterate`` runs: from the float ``x`` it steps
-    through ``symbols`` (a list of ints), reading each coefficient from its
-    column as a per-symbol list, and returns the visited points as a list of
-    floats. It writes the scalar formula inline on plain floats, with no call
-    per step, so it is several times faster per step than ``__call__``. It
-    agrees with the numpy formula bit for bit except on Moebius maps, whose
-    ``math`` and numpy trigonometry may round differently: at most 1 ulp apart
-    per step.
+    ``_orbit(x, symbols, *columns)`` is the single-orbit kernel, which
+    ``iterate`` runs: from the float ``x`` it steps through ``symbols`` (a
+    list of ints) and returns the visited points as a list of floats. A table
+    class writes its scalar formula inline on plain floats, reading each
+    coefficient from its column as a per-symbol list, with no call per step,
+    so it is several times faster per step than ``__call__``. It agrees with
+    ``_step`` bit for bit except on Moebius maps, whose ``math`` and numpy
+    trigonometry may round differently: at most 1 ulp apart per step. The
+    default here, for a map without a table, calls ``__call__`` once per
+    symbol and takes no columns.
     """
 
     family = "abstract"
@@ -122,10 +122,10 @@ class MapSpec:
     _table = None
 
     def __call__(self, x):
-        return self._table._image(np.asarray(x, dtype=float), *self.table_row())
+        return self._table._step(np.asarray(x, dtype=float), False, *self.table_row())[0]
 
     def deriv(self, x):
-        return self._table._slope(np.asarray(x, dtype=float), *self.table_row())
+        return self._table._step(np.asarray(x, dtype=float), True, *self.table_row())[1]
 
     def params(self) -> dict:
         out = {"family": self.family}
@@ -134,17 +134,15 @@ class MapSpec:
             out[name] = v.tolist() if isinstance(v, np.ndarray) else v
         return out
 
-    @staticmethod
-    def _arg(x, *row):
-        return None
+    def _step(self, x, slope: bool):
+        return self(x), (self.deriv(x) if slope else None)
 
-    @classmethod
-    def _image(cls, x, *row):
-        return cls._image_at(x, cls._arg(x, *row), *row)
-
-    @classmethod
-    def _slope(cls, x, *row):
-        return cls._slope_at(x, cls._arg(x, *row), *row)
+    def _orbit(self, x, symbols) -> list:
+        out = []
+        for _ in symbols:
+            x = float(self(x))
+            out.append(x)
+        return out
 
     def inverse_grid(self, ts):
         """Preimages of targets under the map, for exact partition overlaps.
@@ -184,19 +182,15 @@ class AffineMap(MapSpec):
         return (self.a, self.b)
 
     @staticmethod
-    def _image_at(x, t, a, b):
-        return np.minimum(1.0, np.maximum(0.0, a * x + b))
-
-    @staticmethod
-    def _slope_at(x, t, a, b):
-        return np.full_like(x, a)
+    def _step(x, slope, a, b):
+        return np.minimum(1.0, np.maximum(0.0, a * x + b)), (np.full_like(x, a) if slope else None)
 
     @staticmethod
     def _orbit(x, symbols, a, b):
         out = []
         for s in symbols:
             x = a[s] * x + b[s]
-            x = (x if x < 1.0 else 1.0) if x > 0.0 else 0.0  # the clamp of _image, -0.0 to 0.0 included
+            x = (x if x < 1.0 else 1.0) if x > 0.0 else 0.0  # the clamp of _step, -0.0 to 0.0 included
             out.append(x)
         return out
 
@@ -255,20 +249,15 @@ class PerturbedRotation(MapSpec):
         return (self.c, self._k, self._w, self.amp, self.phase)
 
     @staticmethod
-    def _arg(x, c, k, w, amp, phase):
-        return w * x + phase
+    def _lift(x, c, k, w, phase):
+        """The lift x + c + k sin(t) and its argument t = w x + phase."""
+        t = w * x + phase
+        return x + c + k * np.sin(t), t
 
     @staticmethod
-    def _lift_at(x, t, c, k, w, amp, phase):
-        return x + c + k * np.sin(t)
-
-    @staticmethod
-    def _image_at(x, t, *row):
-        return mod1(PerturbedRotation._lift_at(x, t, *row))
-
-    @staticmethod
-    def _slope_at(x, t, c, k, w, amp, phase):
-        return 1.0 + amp * np.cos(t)
+    def _step(x, slope, c, k, w, amp, phase):
+        lift, t = PerturbedRotation._lift(x, c, k, w, phase)
+        return mod1(lift), (1.0 + amp * np.cos(t) if slope else None)
 
     @staticmethod
     def _orbit(x, symbols, c, k, w, amp, phase):
@@ -286,8 +275,7 @@ class PerturbedRotation(MapSpec):
         return out
 
     def lift(self, x):
-        x, row = np.asarray(x, dtype=float), self.table_row()
-        return self._lift_at(x, self._arg(x, *row), *row)
+        return self._lift(np.asarray(x, dtype=float), self.c, self._k, self._w, self.phase)[0]
 
     def inverse_grid(self, ts):
         return _bisect_circle_inverse(self.lift, np.asarray(ts, dtype=float))
@@ -318,21 +306,12 @@ class MoebiusMap(MapSpec):
         return (m00, m01, m10, m11, self.det)
 
     @staticmethod
-    def _arg(x, m00, m01, m10, m11, det):
-        """(u, v) = A (cos pi x, sin pi x)."""
+    def _step(x, slope, m00, m01, m10, m11, det):
         th = math.pi * x
         c, s = np.cos(th), np.sin(th)
-        return m00 * c + m01 * s, m10 * c + m11 * s
-
-    @staticmethod
-    def _image_at(x, uv, *row):
-        u, v = uv
-        return mod1(np.arctan2(v, u) / math.pi)
-
-    @staticmethod
-    def _slope_at(x, uv, m00, m01, m10, m11, det):
-        u, v = uv
-        return det / (u * u + v * v)
+        u, v = m00 * c + m01 * s, m10 * c + m11 * s  # (u, v) = A (cos pi x, sin pi x)
+        del th, c, s  # free them before the image and slope, as large as x
+        return mod1(np.arctan2(v, u) / math.pi), (det / (u * u + v * v) if slope else None)
 
     @staticmethod
     def _orbit(x, symbols, m00, m01, m10, m11, det):
@@ -516,45 +495,26 @@ def _bisect_interval_inverse(f, ts, a: float, b: float):
 
 
 class _Group:
-    """Maps that ``ensemble_apply`` steps together.
+    """Maps that ``ensemble_apply`` steps together, and their evaluator.
 
-    A family table holds one column of coefficients per symbol (zeros for the
-    symbols of other groups); ``gather`` picks each state's column, and
-    ``image``, ``arg``/``image_at``/``slope_at`` and ``orbit`` are the family
-    formula, its shared part and its two ends, and its orbit kernel, which
-    reads the columns as the lists ``coefs``. A map without a table is a
-    one-member group whose image and slope are its own ``__call__`` and
-    ``deriv`` (``arg`` None), and whose ``orbit`` calls ``__call__`` once per
-    symbol, with no ``coefs``.
+    The evaluator is a family table (the class a map names in ``_table``) or
+    a map without one; ``step`` and ``orbit`` are its ``_step`` and
+    ``_orbit``. A table holds one column of coefficients per symbol (zeros
+    for the symbols of other groups): ``gather`` picks each state's column as
+    the row that ``step`` takes, and ``coefs`` are the columns as the lists
+    that ``orbit`` takes. A map without a table is a one-member group with
+    no columns, so both are empty.
     """
 
-    def __init__(self, symbols, table=None, columns=None, map_=None):
+    def __init__(self, symbols, evaluator, columns=None):
         self.symbols = symbols
         self.columns = columns
-        if table is None:
-            self.image = map_.__call__
-            self.arg = lambda x: None
-            self.image_at = lambda x, t: map_(x)
-            self.slope_at = lambda x, t: map_.deriv(x)
-            self.orbit = lambda x, symbols: _call_orbit(map_, x, symbols)
-            self.coefs = []
-        else:
-            self.image = table._image
-            self.arg, self.image_at, self.slope_at = table._arg, table._image_at, table._slope_at
-            self.orbit = table._orbit
-            self.coefs = columns.tolist()
+        self.step = evaluator._step
+        self.orbit = evaluator._orbit
+        self.coefs = [] if columns is None else columns.tolist()
 
     def gather(self, s) -> tuple:
         return () if self.columns is None else tuple(self.columns.take(s, axis=1))
-
-
-def _call_orbit(map_, x, symbols) -> list:
-    """The orbit kernel of a map without a table: one ``__call__`` per symbol."""
-    out = []
-    for _ in symbols:
-        x = float(map_(x))
-        out.append(x)
-    return out
 
 
 def _groups(maps) -> list:
@@ -564,7 +524,7 @@ def _groups(maps) -> list:
     groups = []
     for key, symbols in members.items():
         if isinstance(key, int):
-            groups.append(_Group(symbols, map_=maps[key]))
+            groups.append(_Group(symbols, maps[key]))
             continue
         columns = np.zeros((len(maps[symbols[0]].table_row()), len(maps)))
         for i in symbols:
@@ -584,7 +544,7 @@ class SystemSpec:
     argument at fault: ``maps``, ``maps[i]`` or ``probs``.
     """
 
-    def __init__(self, maps, probs, name: str = "", check: bool = True):
+    def __init__(self, maps, probs, name: str = ""):
         maps = tuple(maps)
         if not maps:
             raise ValueError("maps: a system needs at least one map")
@@ -613,7 +573,7 @@ class SystemSpec:
         self._group_of = np.empty(len(maps), dtype=np.int8)
         for g, group in enumerate(self._groups):
             self._group_of[group.symbols] = g
-        if check and self.space in (CIRCLE, INTERVAL):
+        if self.space in (CIRCLE, INTERVAL):
             self._grid_check()
 
     @property
@@ -868,14 +828,9 @@ def ensemble_apply(system: SystemSpec, xs: np.ndarray, srow: np.ndarray, log_der
     it holds sum_{k<n} log |f'_{i_{k+1}}(X_k)|.
     """
     for states, s, group in system._select(srow):
-        x = xs[states]
-        row = group.gather(s)
-        if log_deriv is None:
-            xs[states] = group.image(x, *row)
-            continue
-        t = group.arg(x, *row)
-        log_deriv[states] += np.log(np.abs(group.slope_at(x, t, *row)))
-        xs[states] = group.image_at(x, t, *row)
+        xs[states], slope = group.step(xs[states], log_deriv is not None, *group.gather(s))
+        if log_deriv is not None:
+            log_deriv[states] += np.log(np.abs(slope))
 
 
 def ensemble_apply_many(system: SystemSpec, arrays, srow: np.ndarray):
@@ -883,4 +838,4 @@ def ensemble_apply_many(system: SystemSpec, arrays, srow: np.ndarray):
     for states, s, group in system._select(srow):
         row = group.gather(s)
         for a in arrays:
-            a[states] = group.image(a[states], *row)
+            a[states] = group.step(a[states], False, *row)[0]

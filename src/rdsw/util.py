@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,6 +15,7 @@ __all__ = [
     "RefusalError",
     "Z99",
     "fmt",
+    "table_chunks",
     "wilson_interval",
     "linear_fit",
     "parallel_map",
@@ -45,14 +47,76 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return fmt(float(v))
+    return str(v)
+
+
+def _jcell(v):
+    if isinstance(v, (bool, int, str)):
+        return v
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    return str(v)
+
+
+# rows formatted at a time: a table's text never sits in memory whole
+CHUNK_ROWS = 4096
+
+
+def _chunk_cells(column, a: int, b: int, csv: bool) -> list:
+    """The cells of rows a..b of one column. A float64 array is formatted in
+    one pass over ``tolist()`` (the bytes of ``fmt``, nan, inf and -0
+    included); any other column goes through ``_cell`` or ``_jcell`` value by
+    value, so a numpy bool still prints as ``True``."""
+    part = column[a:b]
+    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+        return ["%.17g" % v for v in part.tolist()] if csv else part.tolist()
+    return [_cell(v) for v in part] if csv else [_jcell(v) for v in part]
+
+
+def table_chunks(header: list[str], columns: list, csv: bool = True):
+    """Yield the text of one table, ``CHUNK_ROWS`` rows at a time.
+
+    ``columns`` holds one sequence per header field. CSV is the header line,
+    then one line per row, with reals in 17 significant digits and Python
+    bools as 0 or 1. JSON is the text of one ``json.dumps(rows, indent=2,
+    sort_keys=True)`` over the row dicts plus a newline: the chunks' bodies
+    joined by ``",\n"`` inside ``[\n ... \n]``.
+    """
+    n_rows = len(columns[0]) if columns else 0
+    if csv:
+        yield ",".join(header) + "\n"
+    elif n_rows == 0:
+        yield "[]\n"
+        return
+    for a in range(0, n_rows, CHUNK_ROWS):
+        cells = [_chunk_cells(c, a, a + CHUNK_ROWS, csv) for c in columns]
+        if csv:
+            yield "".join(",".join(row) + "\n" for row in zip(*cells))
+        else:
+            body = json.dumps([dict(zip(header, row)) for row in zip(*cells)], indent=2, sort_keys=True)
+            yield ("[\n" if a == 0 else ",\n") + body[2:-2]
+    if not csv:
+        yield "\n]\n"
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 99% Wilson score interval for a binomial proportion.
 
     Well behaved at 0 and ``trials`` successes, unlike the Wald interval.
     """
     if trials <= 0:
         raise ValueError("wilson_interval needs at least one trial")
     p = successes / trials
+    z = Z99
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import rdsw.cli
 import rdsw.lyapunov
 import rdsw.measures
+import rdsw.util
 from rdsw.cli import main
 
 
@@ -210,6 +211,54 @@ _PROJECTIVE_PLANE = {
             {"command": "sync", "system": _PROJECTIVE_PLANE, "params": {"n": 10}},
             "config error: params.x: a projective start needs 2 coordinates, got 1",
         ),
+        (
+            {"command": "limits", "system": "binary_affine", "params": {"law": "clt", "replicas": 50}},
+            "config error: params.replicas: must be at least 100, got 50",
+        ),
+        (
+            {"command": "limits", "system": "binary_affine", "params": {"law": "sigma2", "n": 10}},
+            "config error: params.n: must be at least 64 for a variance estimate, got 10",
+        ),
+        (
+            {"command": "limits", "system": "binary_affine", "params": {"law": "lil", "n": 100}},
+            "config error: params.n: must be at least 10000 for the lil law, got 100",
+        ),
+        (
+            {"command": "limits", "system": "binary_affine", "params": {"law": "slln", "n": 9}},
+            "config error: params.n: must be at least 10, the first checkpoint, got 9",
+        ),
+        (
+            {"command": "sync", "system": "anton", "params": {"mode": "average", "replicas": 50}},
+            "config error: params.replicas: must be at least 100, got 50",
+        ),
+        (
+            {"command": "sync", "system": "anton", "params": {"mode": "average", "alpha": 2.0}},
+            "config error: params.alpha: must lie in (0, 1], got 2.0",
+        ),
+        (
+            {"command": "ulam", "system": "binary_affine", "params": {"k_cells": 100}},
+            "config error: params.k_cells: must be a power of two in [2, 65536], got 100",
+        ),
+        (
+            {"command": "ulam", "system": "binary_affine", "params": {"m_eigs": 1}},
+            "config error: params.m_eigs: must be at least 2, got 1",
+        ),
+        (
+            {"command": "cocycle", "cocycle": "diag_rot", "params": {"replicas": 1}},
+            "config error: params.replicas: must be at least 2, got 1",
+        ),
+        (
+            {"command": "lyapunov", "system": "anton", "params": {"replicas": 1}},
+            "config error: params.replicas: must be at least 2, got 1",
+        ),
+        (
+            {"command": "lyapunov", "system": "binary_affine", "params": {"distortion": True, "x0": 1.0}},
+            "config error: params.y: the distortion report needs y != params.x0, got 1.0 for both",
+        ),
+        (
+            {"command": "ld", "system": "slope_pair", "params": {"x0": 0.3, "y": 0.3}},
+            "config error: params.y: the pair-distance curve needs y != params.x0, got 0.3 for both",
+        ),
     ],
     ids=[
         "missing-key",
@@ -232,6 +281,18 @@ _PROJECTIVE_PLANE = {
         "projective-dimensions",
         "projective-real-x0",
         "projective-real-sync-start",
+        "clt-replicas",
+        "sigma2-n",
+        "lil-n",
+        "slln-n",
+        "sync-average-replicas",
+        "sync-average-alpha",
+        "ulam-k-cells",
+        "ulam-m-eigs",
+        "cocycle-replicas",
+        "lyapunov-replicas",
+        "distortion-default-y",
+        "ld-equal-starts",
     ],
 )
 def test_inline_construction_errors_name_the_field(tmp_path, capsys, payload, expected):
@@ -313,8 +374,9 @@ def test_orbit_lengths_are_capped_before_any_work(tmp_path, capsys, monkeypatch,
             {"burn_in": 1 << 24, "samples": (1 << 24) + 1, "shards": 3},
             "params.burn_in * params.shards + params.samples: at most ORBIT_BUDGET = 67108864 steps in all orbits",
         ),
+        ({"burn_in": 1, "samples": 1 << 17, "shards": (1 << 16) + 1}, "params.shards: at most MAX_SHARDS = 65536 shards"),
     ],
-    ids=["huge", "over-samples", "burn-in-product"],
+    ids=["huge", "over-samples", "burn-in-product", "over-stream-ids"],
 )
 def test_stationary_shards_are_capped_before_any_work(tmp_path, capsys, monkeypatch, params, message):
     """Each shard runs its own burn-in, so the shard count is capped with the total length."""
@@ -340,6 +402,7 @@ def test_stationary_shards_are_capped_before_any_work(tmp_path, capsys, monkeypa
         ("sync", {"mode": "average", "n": 1 << 20}, "average_sync_sum"),
         ("stationary", {"burn_in": 1 << 24, "samples": 1 << 24, "shards": 3}, "estimate_stationary"),
         ("stationary", {"samples": 5, "shards": 5}, "estimate_stationary"),
+        ("stationary", {"burn_in": 1, "samples": 1 << 17, "shards": 1 << 16}, "estimate_stationary"),
     ],
 )
 def test_orbit_length_cap_admits_the_budget(tmp_path, monkeypatch, command, params, reached):
@@ -616,9 +679,9 @@ def test_config_fuzz_exits_cleanly(tmp_path, capsys, config):
 def _reference_table(fmt: str, header: list, rows: list) -> bytes:
     """A table written row by row: every cell through _cell or _jcell, one join or one dumps."""
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(rdsw.cli._cell(c) for c in row) for row in rows]
+        lines = [",".join(header)] + [",".join(rdsw.util._cell(c) for c in row) for row in rows]
         return ("\n".join(lines) + "\n").encode()
-    payload = [dict(zip(header, (rdsw.cli._jcell(c) for c in row))) for row in rows]
+    payload = [dict(zip(header, (rdsw.util._jcell(c) for c in row))) for row in rows]
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
@@ -631,7 +694,7 @@ _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, 1e-300, 5e-324, 1.797
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("n_rows", [0, 1, rdsw.cli._CHUNK_ROWS, rdsw.cli._CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_rows", [0, 1, rdsw.util.CHUNK_ROWS, rdsw.util.CHUNK_ROWS + 1])
 def test_table_writer_matches_row_wise_reference(tmp_path, fmt, n_rows):
     """Tables given by rows or by columns, float arrays or scalars of every kind, stream to the same bytes."""
     rng = np.random.default_rng(n_rows)
@@ -670,7 +733,7 @@ def test_projective_stationary_atoms_match_row_wise_reference(tmp_path, monkeypa
     cfg = _write_config(tmp_path, "c.json", {"system": system, "format": fmt, "params": {"burn_in": 10, "samples": 5000}})
     assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "x")]) == 0
     (m,) = seen
-    assert m.atoms.shape == (5000, 3) and 5000 > rdsw.cli._CHUNK_ROWS
+    assert m.atoms.shape == (5000, 3) and 5000 > rdsw.util.CHUNK_ROWS
     rows = [tuple([w] + list(a)) for w, a in zip(m.weights, m.atoms)]
     expected = _reference_table(fmt, ["weight", "x0", "x1", "x2"], rows)
     assert (tmp_path / "x" / f"atoms.{fmt}").read_bytes() == expected

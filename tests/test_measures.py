@@ -9,6 +9,7 @@ from rdsw.cocycles import cocycle_gallery, projective_system
 from rdsw.gallery import gallery
 from rdsw.geometry import CIRCLE, INTERVAL
 from rdsw.measures import (
+    MAX_SHARDS,
     EmpiricalMeasure,
     atom_diagnostic,
     estimate_stationary,
@@ -18,6 +19,7 @@ from rdsw.measures import (
     wasserstein1,
 )
 from rdsw.systems import AffineMap, SystemSpec
+from rdsw.util import ArgumentError
 
 
 def test_w1_hand_oracles():
@@ -83,6 +85,13 @@ def test_estimate_stationary_shards_are_bit_exact_and_thread_invariant():
     assert np.array_equal(base.atoms, pooled.atoms), "thread count changed sharded atoms"
     single = estimate_stationary(sys, burn_in=200, samples=40_000, seed=9, shards=1)
     assert not np.array_equal(base.atoms, single.atoms), "shard split should change the stream layout"
+
+
+def test_estimate_stationary_shards_keep_their_stream_ids():
+    """Shard j draws stream (1 << 16) + j: one shard more would draw the resampling stream 2 << 16."""
+    assert MAX_SHARDS == 1 << 16
+    with pytest.raises(ArgumentError, match=r"^shards: must lie in \[1, MAX_SHARDS = 65536\], got 65537"):
+        estimate_stationary(gallery("binary_affine"), burn_in=0, samples=1 << 17, shards=MAX_SHARDS + 1)
 
 
 def test_estimate_stationary_rejects_zero_projective_start():

@@ -35,7 +35,7 @@ from rdsw.systems import (
     word_matrix,
 )
 from rdsw.util import BudgetExceededError
-from scalar_reference import scalar_fn, scalar_orbit
+from scalar_reference import numpy_formula, scalar_fn, scalar_orbit
 
 
 def binary():
@@ -390,6 +390,60 @@ def test_ensemble_step_matches_per_map_loop_bitwise(name, replicas, n):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(pair[0], xs), "both entry points must step alike"
     assert np.all((0.0 <= pair) & (pair < 1.0)), "states leave [0, 1)"
+
+
+_TABLE_FAMILIES = {
+    "affine": [AffineMap(0.5, 0.0), AffineMap(0.5, 0.5), AffineMap(-0.75, 0.9), AffineMap(1.5, -0.2)],
+    "rotation": [Rotation(-0.25), Rotation(0.1), Rotation(0.7071067811865476)],
+    "perturbed_rotation": [
+        PerturbedRotation(0.1, 0.3, harmonic=2, phase=0.4),
+        PerturbedRotation(-0.2, -0.5),
+        PerturbedRotation(0.35, 0.9, harmonic=3, phase=-1.1),
+        Rotation(0.5),
+    ],
+    "moebius": [
+        MoebiusMap([[1.3, 0.2], [0.0, 1 / 1.3]]),
+        MoebiusMap([[2.0, 0.0], [0.0, 0.5]]),
+        MoebiusMap([[0.3, -1.2], [0.8, 0.5]]),
+    ],
+}
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("family", list(_TABLE_FAMILIES))
+def test_numpy_step_matches_frozen_formulas_bitwise(family):
+    """__call__, deriv and the ensemble step against the family formulas as
+    they were stated before ``_step``, bit for bit, over several chunks."""
+    maps = _TABLE_FAMILIES[family]
+    rng = np.random.default_rng(17)
+    x = np.concatenate([[0.0, -0.0, 0.25, 0.5, 1.0], rng.uniform(-0.5, 1.5, 4096)])
+    for m in maps:
+        image, slope = numpy_formula(m)
+        assert _same_bits(m(x), image(x)) and _same_bits(m.deriv(x), slope(x)), m
+        assert _same_bits(m(0.3), image(np.asarray(0.3))) and _same_bits(m.deriv(0.3), slope(np.asarray(0.3))), m
+        if isinstance(m, PerturbedRotation):
+            c, k, w, _, phase = m.table_row()
+            assert _same_bits(m.lift(x), x + c + k * np.sin(w * x + phase)), m
+    sys = SystemSpec(maps, (1.0 / len(maps),) * len(maps))
+    width = 2 * systems._CHUNK + 11
+    xs, ld = rng.random(width), np.zeros(width)
+    pair = np.stack([xs, rng.random(width)])
+    ref_xs, ref_ld, ref_pair = xs.copy(), ld.copy(), pair.copy()
+    formulas = [numpy_formula(m) for m in maps]
+    for srow in sys.word_stream(5).rows(6, width):
+        ensemble_apply(sys, xs, srow, log_deriv=ld)
+        ensemble_apply_many(sys, (pair[0], pair[1]), srow)
+        for i, (image, slope) in enumerate(formulas):
+            mask = srow == i
+            ref_ld[mask] += np.log(np.abs(slope(ref_xs[mask])))
+            ref_xs[mask] = image(ref_xs[mask])
+            for a in ref_pair:
+                a[mask] = image(a[mask])
+    assert _same_bits(xs, ref_xs) and _same_bits(ld, ref_ld) and _same_bits(pair, ref_pair)
 
 
 def test_symbol_width_is_bounded():
