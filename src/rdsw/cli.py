@@ -47,7 +47,7 @@ from .limit_laws import LIL_MIN_N, clt_test, estimate_sigma2, lil_statistic, obs
 from .lyapunov import distortion_report, estimate_gamma, ld_curve, sync_ld_curve
 from .measures import MAX_SHARDS, atom_diagnostic, estimate_stationary
 from .operators import MAX_CELLS, build_laplace_markov, build_transfer_ulam, leading_eigen, spectral_gap, subleading_decay
-from .synchronization import SYNC_STREAM, average_sync_sum, fit_sync_rate, paired_orbit
+from .synchronization import RATE_FIT_POINTS, SYNC_STREAM, average_sync_sum, fit_sync_rate, paired_orbit
 from .systems import MAX_MAPS, SystemSpec, _is_finite_real, _start_state, map_from_params
 from .util import ArgumentError, BudgetExceededError, OverflowGuardError, RefusalError, fmt, table_chunks
 
@@ -412,6 +412,8 @@ def _cmd_sync(run: _Run, sys_: SystemSpec, p: dict):
     _check_starts(sys_, p, "x", "y")
     if p["mode"] == "rate":
         _check_orbit_length(p, "n")
+        if p["n"] + 1 < RATE_FIT_POINTS:  # a trace holds n + 1 distances, whatever they are
+            raise ConfigError(f"params.n: must be at least {RATE_FIT_POINTS - 1} for a rate fit, got {p['n']}")
         trace = paired_orbit(sys_, p["x"], p["y"], sys_.word_stream(run.seed, SYNC_STREAM), p["n"])
         f = fit_sync_rate(trace)
         run.table("trace", ["step", "distance"], list(enumerate(trace.distances)))

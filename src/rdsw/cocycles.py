@@ -15,17 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .synchronization import local_contraction_probe
-from .systems import MAX_MAPS, ProjectiveMap, SystemSpec, WordStream, _resolve_word, _square_matrix
+from .systems import MAX_MAPS, ProjectiveMap, SystemSpec, WordStream, _square_matrix
 from .util import ArgumentError, OverflowGuardError, RefusalError
 
 __all__ = [
     "QR_BLOCK",
     "LOG_FLOOR",
     "CocycleSpec",
-    "ProductResult",
     "SpectrumEstimate",
     "LcVerification",
-    "product_stream",
     "estimate_spectrum",
     "projective_system",
     "verify_lc_rate",
@@ -80,15 +78,6 @@ class CocycleSpec:
 
 
 @dataclass(frozen=True)
-class ProductResult:
-    """QR-accumulated product data: sum of log |diag R| and the final frame."""
-
-    log_diag: np.ndarray
-    q: np.ndarray
-    steps: int
-
-
-@dataclass(frozen=True)
 class SpectrumEstimate:
     """Lyapunov exponents in ascending order with per-exponent standard errors."""
 
@@ -125,30 +114,6 @@ def _reorth(b: np.ndarray, logs: np.ndarray):
         )
     logs += np.log(diag)
     return q
-
-
-def product_stream(cocycle: CocycleSpec, word, n: int) -> ProductResult:
-    """Product of n sampled matrices, re-orthonormalized by QR every ``QR_BLOCK`` steps.
-
-    ``word`` is a WordStream or an explicit symbol array. log_diag[j] sums the
-    log diagonal entries of the R factors, so log_diag / n estimates the j-th
-    exponent (descending in j) and log_diag.sum() equals the log determinant
-    magnitude of the whole product.
-    """
-    if n < 1:
-        raise ValueError("product_stream needs n >= 1")
-    symbols = _resolve_word(cocycle, word, n)
-    d = cocycle.dim
-    b = np.eye(d)
-    logs = np.zeros(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, s in enumerate(symbols.tolist()):
-            b = cocycle.matrices[s] @ b
-            if (k + 1) % QR_BLOCK == 0:
-                b = _reorth(b, logs)
-        if n % QR_BLOCK:
-            b = _reorth(b, logs)
-    return ProductResult(logs, b, n)
 
 
 def estimate_spectrum(

@@ -248,7 +248,7 @@ def estimate_sigma2(
     disagreement beyond 3 combined standard errors sets ``flagged``.
     """
     if replicas < 30:
-        raise RefusalError("estimate_sigma2 needs at least 30 replicas")
+        raise ArgumentError(f"replicas: must be at least 30, got {replicas}")
     if n < 64:
         raise ArgumentError(f"n: must be at least 64 for a variance estimate, got {n}")
     stat = estimate_stationary(system, burn_in=1000, samples=_SIGMA_STATIONARY, seed=seed)

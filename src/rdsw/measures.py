@@ -1,10 +1,9 @@
-"""Empirical measures on the phase spaces, pushforwards, and W1 distances.
+"""Empirical measures on the phase spaces, stationary estimates, and W1 distances.
 
-Measures are finite atom lists with positive weights summing to 1. The
-Markov operator acts exactly (N-fold atom expansion); stationary measures are
-estimated by occupation along seeded orbits; W1 has closed-form evaluators on
-the interval (CDF sweep) and the circle (optimal rotation of the CDF
-difference via a weighted median).
+Measures are finite atom lists with positive weights summing to 1. Stationary
+measures are estimated by occupation along seeded orbits; W1 has closed-form
+evaluators on the interval (CDF sweep) and the circle (optimal rotation of the
+CDF difference via a weighted median).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .util import ArgumentError, RefusalError, parallel_map, weighted_median
 __all__ = [
     "EmpiricalMeasure",
     "AtomDiagnostic",
-    "markov_push",
     "estimate_stationary",
     "resample",
     "wasserstein1",
@@ -101,19 +99,6 @@ def uniform_grid(k: int, space: str = INTERVAL) -> EmpiricalMeasure:
         raise ValueError("k must be positive")
     pts = (np.arange(k) + 0.5) / k
     return EmpiricalMeasure(pts, None, space)
-
-
-def markov_push(system: SystemSpec, m: EmpiricalMeasure) -> EmpiricalMeasure:
-    """One exact step of the Markov operator: N images of every atom.
-
-    Output atom order is map-major (all images under map 0 first), which
-    makes the expansion deterministic.
-    """
-    if m.space != system.space:
-        raise ValueError("measure and system live on different spaces")
-    parts = [f(m.atoms) for f in system.maps]
-    wparts = [p * m.weights for p in system.probs]
-    return EmpiricalMeasure(np.concatenate(parts), np.concatenate(wparts), m.space)
 
 
 def _default_x0(system: SystemSpec):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import CIRCLE, PROJECTIVE, coordinate_grid, distance, signed_circle_difference
+from .geometry import CIRCLE, PROJECTIVE
 from .systems import SystemSpec, TabulatedMap, ensemble_apply, word_levels
 from .util import ArgumentError, RefusalError, fmt
 
@@ -25,7 +25,6 @@ __all__ = [
     "LeadingEigen",
     "SpectralGap",
     "DecayEstimate",
-    "HolderNormEstimate",
     "QnIdentity",
     "build_transfer_ulam",
     "build_laplace_markov",
@@ -33,9 +32,7 @@ __all__ = [
     "spectral_gap",
     "subleading_decay",
     "qn_identity_test",
-    "holder_norm",
     "log_deriv_integral",
-    "bilipschitz_bound",
 ]
 
 MAX_CELLS = 1 << 16
@@ -124,19 +121,6 @@ class DecayEstimate:
     rate: float
     ratios: np.ndarray
     window: int
-
-
-@dataclass(frozen=True)
-class HolderNormEstimate:
-    """Grid estimate of ||phi||_alpha = sup|phi| + |phi|_alpha (a lower bound)."""
-
-    sup_norm: float
-    seminorm_alpha: float
-    alpha: float
-
-    @property
-    def norm(self) -> float:
-        return self.sup_norm + self.seminorm_alpha
 
 
 @dataclass(frozen=True)
@@ -418,36 +402,6 @@ def qn_identity_test(
     return QnIdentity(kernel, mc, se, float(z), bool(abs(z) < 4.0))
 
 
-def holder_norm(phi, alpha: float, space: str = CIRCLE) -> HolderNormEstimate:
-    """Grid estimate of the symbol-uniform Holder norm of phi(j, x), j in {0, 1}.
-
-    The pairwise supremum over an equispaced 4096-point grid is a lower bound
-    of the true seminorm (it only sees grid pairs); sup_norm is exact on the
-    grid. The coordinate function on the circle makes the estimate diverge
-    linearly in the grid size because wrap-around pairs are close in metric
-    but far in value; that growth is the documented non-example rather than a
-    defect.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    grid_k, n_symbols = 4096, 2
-    xs = coordinate_grid(space, grid_k)
-    sup = 0.0
-    semi = 0.0
-    for jsym in range(n_symbols):
-        v = np.asarray(phi(np.full(grid_k, jsym, dtype=np.int64), xs), dtype=float)
-        sup = max(sup, float(np.abs(v).max()))
-        if space == CIRCLE:
-            for s in range(1, grid_k // 2 + 1):
-                d = distance(CIRCLE, xs[0], xs[s])
-                semi = max(semi, float(np.abs(v - np.roll(v, s)).max()) / d**alpha)
-        else:
-            h = 1.0 / (grid_k - 1)
-            for s in range(1, grid_k):
-                semi = max(semi, float(np.abs(v[s:] - v[:-s]).max()) / (s * h) ** alpha)
-    return HolderNormEstimate(sup, semi, float(alpha))
-
-
 def log_deriv_integral(system: SystemSpec, k_cells: int = 4096) -> float:
     """The double integral of log |f'| against the Ulam stationary vector.
 
@@ -465,34 +419,3 @@ def log_deriv_integral(system: SystemSpec, k_cells: int = 4096) -> float:
     for p, m in zip(system.probs, system.maps):
         g += float(p) * np.log(np.abs(np.asarray(m.deriv(mids), dtype=float)))
     return float(np.sum(cellw * g))
-
-
-def bilipschitz_bound(system: SystemSpec):
-    """Grid bi-Lipschitz constant L: max over maps of sup |f'| and sup 1/|f'| on 4096 points.
-
-    Falls back to secant slopes for maps without derivative support, flagging
-    the estimate; the returned L then carries discretization error.
-    """
-    if system.space == PROJECTIVE:
-        raise RefusalError("bi-Lipschitz grid bound is defined for 1-D phase spaces")
-    circle = system.space == CIRCLE
-    grid_k = 4096
-    xs = coordinate_grid(system.space, grid_k)
-    best = 1.0
-    secant = False
-    for m in system.maps:
-        if m.has_derivative:
-            d = np.abs(np.asarray(m.deriv(xs), dtype=float))
-        else:
-            secant = True
-            ys = np.asarray(m(xs), dtype=float)
-            if circle:
-                num = np.abs(signed_circle_difference(np.roll(ys, -1) - ys))
-                den = 1.0 / grid_k
-            else:
-                num = np.abs(np.diff(ys))
-                den = np.diff(xs)
-            d = num / den
-        d = d[d > 0.0]
-        best = max(best, float(d.max()), float((1.0 / d).max()))
-    return best, secant

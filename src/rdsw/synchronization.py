@@ -1,5 +1,5 @@
-"""Synchronization diagnostics: paired orbits, decay-rate fits, average
-contraction searches, local contraction probes, and proximality scans.
+"""Synchronization diagnostics: paired orbits, decay-rate fits, averaged
+sync sums, local contraction probes, and proximality scans.
 
 Everything is driven by seeded WordStreams, so every number here is
 reproducible bit for bit.
@@ -14,31 +14,29 @@ import numpy as np
 
 from .geometry import CIRCLE, PROJECTIVE, distance
 from .systems import SystemSpec, WordStream, _resolve_word, _start_state, ensemble_apply_many, iterate
-from .util import ArgumentError, RefusalError, Z99, linear_fit
+from .util import ArgumentError, RefusalError, linear_fit
 
 __all__ = [
     "SYNC_STREAM",
     "SyncTrace",
     "RateFit",
     "AverageSyncResult",
-    "CASearchResult",
     "ProximalityVerdict",
     "paired_orbit",
     "fit_sync_rate",
     "average_sync_sum",
     "local_contraction_probe",
-    "contraction_on_average_search",
     "proximality_probe",
 ]
 
 DISTANCE_FLOOR = 1e-14
+# the fewest distances at or above the floor that fit_sync_rate fits a rate to
+RATE_FIT_POINTS = 8
 
 # stream id of the word behind a sync-rate trace; average_sync_sum draws its
 # words from the same id, and giving it its own would change its bytes
 SYNC_STREAM = 3 << 16
 _LCP_BASE = (3 << 16) | 1
-_CAS_BASE = (3 << 16) | 2
-_CAS_PAIRS = (3 << 16) | 3
 _PROX_BASE = (3 << 16) | 4
 
 
@@ -79,19 +77,6 @@ class AverageSyncResult:
 
 
 @dataclass(frozen=True)
-class CASearchResult:
-    """Best snowflake exponent found by the average-contraction search."""
-
-    alphas: np.ndarray
-    lambdas: np.ndarray
-    upper_bounds: np.ndarray
-    best_alpha: float
-    best_lambda: float
-    certified: bool
-    pairs_used: int
-
-
-@dataclass(frozen=True)
 class ProximalityVerdict:
     x: float
     y: float
@@ -116,18 +101,18 @@ def paired_orbit(system: SystemSpec, x, y, word, n: int) -> SyncTrace:
 def fit_sync_rate(trace: SyncTrace) -> RateFit:
     """Exponential decay rate of a distance trace by least squares on log d.
 
-    Entries below ``DISTANCE_FLOOR`` are censored; fewer than 8 usable
-    entries is a refusal rather than a fit.
+    Entries below ``DISTANCE_FLOOR`` are censored; fewer than
+    ``RATE_FIT_POINTS`` usable entries is a refusal rather than a fit.
     """
     d = np.asarray(trace.distances, dtype=float)
     usable = d >= DISTANCE_FLOOR
     below = np.nonzero(~usable)[0]
     censored_at = int(below[0]) if below.size else None
     ks = np.nonzero(usable)[0]
-    if ks.size < 8:
+    if ks.size < RATE_FIT_POINTS:
         raise RefusalError(
             f"only {ks.size} distances at or above the floor {DISTANCE_FLOOR:g}; "
-            "need at least 8 for a rate fit"
+            f"need at least {RATE_FIT_POINTS} for a rate fit"
         )
     slope, intercept, r2 = linear_fit(ks.astype(float), np.log(d[ks]))
     return RateFit(slope, intercept, r2, censored_at)
@@ -265,86 +250,6 @@ def _projective_ball(system: SystemSpec, x, radius: float, count: int) -> np.nda
     pts = np.cos(ang)[:, None] * center + np.sin(ang)[:, None] * tang
     pts[0] = center
     return pts
-
-
-def contraction_on_average_search(
-    system: SystemSpec,
-    alphas,
-    pairs: int,
-    horizon: int,
-    seed: int = 0,
-    replicas: int = 256,
-) -> CASearchResult:
-    """Scan snowflake exponents for average contraction at a fixed horizon.
-
-    For each sampled pair the k-step ratio E-hat[d^alpha(X_k^x, X_k^y)] /
-    d^alpha(x, y) is estimated over ``replicas`` words; lambda-hat is the
-    worst (largest) ratio over pairs. The pair sample mixes uniform pairs,
-    near-diagonal pairs at offsets 1e-6..1e-1, and antipodal pairs. Success
-    means lambda-hat < 1 with its 99% upper confidence bound below 1.
-    """
-    if pairs < 1000:
-        raise ValueError("contraction_on_average_search needs at least 1000 pairs")
-    alphas = np.asarray(alphas, dtype=float).reshape(-1)
-    if alphas.size == 0 or np.any(alphas <= 0.0) or np.any(alphas > 1.0):
-        raise ValueError("alphas must lie in (0, 1]")
-    if system.space == PROJECTIVE:
-        raise RefusalError("pair construction is defined for 1-D phase spaces")
-    xs, ys = _make_pairs(system.space, pairs, WordStream(seed, _CAS_PAIRS, (1.0,)))
-    d0 = distance(system.space, xs, ys)
-    keep = d0 >= 1e-12
-    xs, ys, d0 = xs[keep], ys[keep], d0[keep]
-    p = xs.size
-    av = np.repeat(xs, replicas)
-    bv = np.repeat(ys, replicas)
-    stream = system.word_stream(seed, _CAS_BASE)
-    for row in stream.rows(horizon, p * replicas):
-        ensemble_apply_many(system, (av, bv), row)
-    dk = distance(system.space, av, bv).reshape(p, replicas)
-    lambdas = np.empty(alphas.size)
-    ubs = np.empty(alphas.size)
-    for j, al in enumerate(alphas):
-        vals = dk**al
-        mean = vals.mean(axis=1)
-        se = vals.std(axis=1, ddof=1) / math.sqrt(replicas)
-        ratio = mean / d0**al
-        ub = (mean + Z99 * se) / d0**al
-        lambdas[j] = float(ratio.max())
-        ubs[j] = float(ub.max())
-    best = int(np.argmin(lambdas))
-    certified = bool(lambdas[best] < 1.0 and ubs[best] < 1.0)
-    return CASearchResult(
-        alphas, lambdas, ubs, float(alphas[best]), float(lambdas[best]), certified, p
-    )
-
-
-def _make_pairs(space: str, pairs: int, stream: WordStream):
-    n_uni = pairs // 3
-    n_near = pairs // 3
-    n_anti = pairs - n_uni - n_near
-    u = stream.uniforms(2 * n_uni + 2 * n_near + n_anti)
-    xs_u = u[:n_uni]
-    ys_u = u[n_uni : 2 * n_uni]
-    xs_n = u[2 * n_uni : 2 * n_uni + n_near]
-    un = u[2 * n_uni + n_near : 2 * n_uni + 2 * n_near]
-    # offsets log-uniform over [1e-6, 1e-1], alternating sign
-    delta = 10.0 ** (-6.0 + 5.0 * un)
-    sign = np.where(np.arange(n_near) % 2 == 0, 1.0, -1.0)
-    if space == CIRCLE:
-        ys_n = (xs_n + sign * delta) % 1.0
-    else:
-        ys_n = xs_n + sign * delta
-        flip = (ys_n < 0.0) | (ys_n > 1.0)
-        ys_n[flip] = xs_n[flip] - sign[flip] * delta[flip]
-        ys_n = np.clip(ys_n, 0.0, 1.0)
-    xs_a = u[2 * n_uni + 2 * n_near :]
-    if space == CIRCLE:
-        ys_a = (xs_a + 0.5) % 1.0
-    else:
-        ys_a = np.where(xs_a < 0.5, 1.0, 0.0)
-    xs = np.concatenate([xs_u, xs_n, xs_a])
-    ys = np.concatenate([ys_u, ys_n, ys_a])
-    return xs, ys
 
 
 def proximality_probe(

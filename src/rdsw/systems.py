@@ -709,7 +709,7 @@ class WordStream:
 
 def _resolve_word(system, word, n: int) -> np.ndarray:
     """The first n symbols of a WordStream, or of an explicit word checked
-    against ``system.n_maps`` (a SystemSpec or a CocycleSpec)."""
+    against ``system.n_maps``."""
     if isinstance(word, WordStream):
         return word.draw(n)
     symbols = np.asarray(word, dtype=np.int64).reshape(-1)

@@ -220,6 +220,10 @@ _PROJECTIVE_PLANE = {
             "config error: params.n: must be at least 64 for a variance estimate, got 10",
         ),
         (
+            {"command": "limits", "system": "binary_affine", "params": {"law": "sigma2", "n": 100, "replicas": 10}},
+            "config error: params.replicas: must be at least 30, got 10",
+        ),
+        (
             {"command": "limits", "system": "binary_affine", "params": {"law": "lil", "n": 100}},
             "config error: params.n: must be at least 10000 for the lil law, got 100",
         ),
@@ -234,6 +238,10 @@ _PROJECTIVE_PLANE = {
         (
             {"command": "sync", "system": "anton", "params": {"mode": "average", "alpha": 2.0}},
             "config error: params.alpha: must lie in (0, 1], got 2.0",
+        ),
+        (
+            {"command": "sync", "system": "binary_affine", "params": {"mode": "rate", "n": 3}},
+            "config error: params.n: must be at least 7 for a rate fit, got 3",
         ),
         (
             {"command": "ulam", "system": "binary_affine", "params": {"k_cells": 100}},
@@ -283,10 +291,12 @@ _PROJECTIVE_PLANE = {
         "projective-real-sync-start",
         "clt-replicas",
         "sigma2-n",
+        "sigma2-replicas",
         "lil-n",
         "slln-n",
         "sync-average-replicas",
         "sync-average-alpha",
+        "sync-rate-n",
         "ulam-k-cells",
         "ulam-m-eigs",
         "cocycle-replicas",

@@ -13,7 +13,6 @@ from rdsw.measures import (
     EmpiricalMeasure,
     atom_diagnostic,
     estimate_stationary,
-    markov_push,
     resample,
     uniform_grid,
     wasserstein1,
@@ -54,20 +53,6 @@ def test_uniform_grid_und_weights():
     assert np.allclose(g.weights, 1 / 8)
     with pytest.raises(ValueError):
         uniform_grid(0)
-
-
-def test_markov_push_preserves_mass_and_contracts_to_lebesgue():
-    sys = gallery("binary_affine")
-    m = EmpiricalMeasure([0.1, 0.8, 0.33], [0.5, 0.25, 0.25], INTERVAL)
-    ref = uniform_grid(4096, INTERVAL)
-    dists = []
-    for _ in range(12):
-        m = markov_push(sys, m)
-        assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        dists.append(wasserstein1(m, ref))
-    print(f"W1 to Lebesgue along pushes: {np.array(dists).round(5)}")
-    assert dists[-1] < 0.01, "pushforwards should approach the stationary measure"
-    assert dists[-1] < dists[0]
 
 
 def test_estimate_stationary_binary_affine_close_to_lebesgue():

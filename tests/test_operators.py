@@ -1,4 +1,4 @@
-"""Ulam discretizations, spectra, the Q^n identity, and norm utilities."""
+"""Ulam discretizations, spectra, the Q^n identity, and the log-derivative integral."""
 
 from __future__ import annotations
 
@@ -10,13 +10,10 @@ import pytest
 
 from rdsw.cocycles import cocycle_gallery, projective_system
 from rdsw.gallery import gallery, gallery_facts
-from rdsw.geometry import CIRCLE, INTERVAL
 from rdsw.lyapunov import estimate_gamma
 from rdsw.operators import (
-    bilipschitz_bound,
     build_laplace_markov,
     build_transfer_ulam,
-    holder_norm,
     leading_eigen,
     log_deriv_integral,
     qn_identity_test,
@@ -212,22 +209,6 @@ def test_coo_text_round_trip():
     assert np.array_equal(rebuilt, op.to_dense()), "text form must reproduce the matrix exactly"
 
 
-def test_holder_norm_values():
-    lin = holder_norm(_coord, 1.0, space=INTERVAL)
-    print("coordinate:", lin)
-    assert lin.sup_norm == 1.0
-    assert abs(lin.seminorm_alpha - 1.0) < 1e-9, "Lipschitz seminorm of the coordinate is 1"
-    assert lin.norm == lin.sup_norm + lin.seminorm_alpha
-
-    cos1 = holder_norm(lambda j, x: np.cos(2 * np.pi * np.asarray(x, float)), 1.0, space=CIRCLE)
-    print("cos, alpha=1:", cos1)
-    assert 6.0 <= cos1.seminorm_alpha <= 2 * math.pi + 1e-6, "grid seminorm approaches the true slope 2*pi from below"
-
-    cos_half = holder_norm(lambda j, x: np.cos(2 * np.pi * np.asarray(x, float)), 0.5, space=CIRCLE)
-    print("cos, alpha=1/2:", cos_half)
-    assert 2.9 <= cos_half.seminorm_alpha <= 3.1, "alpha=1/2 seminorm of cos sits near 3"
-
-
 def test_log_deriv_integral_and_bilipschitz():
     got = log_deriv_integral(gallery("binary_affine"))
     print("binary log-derivative integral:", got)
@@ -237,9 +218,3 @@ def test_log_deriv_integral_and_bilipschitz():
     anton_mc = estimate_gamma(gallery("anton"), n=2000, replicas=64, seed=0).gamma_hat
     print("anton integral:", anton_int, "sampled:", anton_mc)
     assert abs(anton_int - anton_mc) < 0.01, "operator-side and trajectory-side exponents must agree"
-
-    l_binary, secant_binary = bilipschitz_bound(gallery("binary_affine"))
-    l_anton, secant_anton = bilipschitz_bound(gallery("anton"))
-    print("bilipschitz:", l_binary, l_anton)
-    assert l_binary == 2.0 and not secant_binary
-    assert 3.5 <= l_anton <= 4.5 and not secant_anton

@@ -15,7 +15,6 @@ from rdsw.synchronization import (
     _min_abs_inner,
     _projective_ball,
     average_sync_sum,
-    contraction_on_average_search,
     fit_sync_rate,
     local_contraction_probe,
     paired_orbit,
@@ -236,26 +235,6 @@ def test_local_contraction_probe_names_bad_argument(kwargs, field, space):
     args = dict(radius=1e-3, n=10, replicas=8, q_target=0.6) | kwargs
     with pytest.raises(ArgumentError, match=f"^{field}:"):
         local_contraction_probe(sys, x, **args)
-
-
-def test_contraction_on_average_certificate_binary():
-    sys = gallery("binary_affine")
-    r = contraction_on_average_search(sys, [0.5, 1.0], pairs=1000, horizon=1, seed=5, replicas=128)
-    print(
-        f"alphas {r.alphas} -> lambdas {r.lambdas}, best alpha {r.best_alpha}, "
-        f"certified {r.certified} on {r.pairs_used} pairs"
-    )
-    j = int(np.nonzero(r.alphas == 1.0)[0][0])
-    assert abs(r.lambdas[j] - 0.5) < 1e-9, "one-step ratio at alpha=1 is exactly 1/2"
-    assert r.certified
-
-
-def test_contraction_on_average_rotations_flat():
-    sys = gallery("two_rotations")
-    r = contraction_on_average_search(sys, [1.0], pairs=1000, horizon=5, seed=5, replicas=64)
-    # near-diagonal pairs (d0 = 1e-6) amplify per-step rounding, so the ratio
-    # is 1 only up to ~1e-10
-    assert abs(r.best_lambda - 1.0) < 1e-9, "isometries give ratio 1"
 
 
 def test_proximality_probe_verdicts():
