@@ -42,7 +42,7 @@ from . import __version__
 from .acceptance import case_ids, run_case
 from .cocycles import COCYCLE_GALLERY, CocycleSpec, cocycle_gallery, estimate_spectrum, verify_lc_rate
 from .gallery import gallery, gallery_facts
-from .geometry import INTERVAL
+from .geometry import INTERVAL, PROJECTIVE, distance
 from .limit_laws import LIL_MIN_N, clt_test, estimate_sigma2, lil_statistic, observable, slln_check
 from .lyapunov import distortion_report, estimate_gamma, ld_curve, sync_ld_curve
 from .measures import MAX_SHARDS, atom_diagnostic, estimate_stationary
@@ -237,6 +237,13 @@ def _check_starts(sys_: SystemSpec, p: dict, *keys):
                 _start_state(sys_, p[key])
             except ValueError as e:
                 raise ConfigError(f"params.{key}: {e}") from e
+
+
+def _check_distinct(sys_: SystemSpec, y, x0: float, what: str):
+    """A given y must name another point than x0 (on projective space, where reals name no point, y != x0)."""
+    if y is not None and (y == x0 or (sys_.space != PROJECTIVE and distance(sys_.space, y, x0) == 0.0)):
+        got = f"{y!r} for both" if y == x0 else f"{y!r} and {x0!r}, one point mod 1"
+        raise ConfigError(f"params.y: {what} needs y != params.x0, got {got}")
 
 
 def _check_budget(p: dict, keys, budget: int, name: str, what: str):
@@ -500,8 +507,7 @@ def _cmd_lyapunov(run: _Run, sys_: SystemSpec, p: dict):
         if sys_.space != INTERVAL and y is None:
             raise ConfigError("params.y: required for the distortion report on the circle")
         y = y if y is not None else min(1.0, p["x0"] + 0.25)
-        if y == p["x0"]:
-            raise ConfigError(f"params.y: the distortion report needs y != params.x0, got {y!r} for both")
+        _check_distinct(sys_, y, p["x0"], "the distortion report")
     _check_horizon(p)
     g = estimate_gamma(sys_, n=p["n"], replicas=p["replicas"], x0=p["x0"], seed=run.seed)
     run.table(
@@ -531,8 +537,7 @@ def _cmd_lyapunov(run: _Run, sys_: SystemSpec, p: dict):
 )
 def _cmd_ld(run: _Run, sys_: SystemSpec, p: dict):
     _check_horizon({"horizons": max(p["horizons"] or [0])}, "horizons")
-    if p["y"] == p["x0"]:
-        raise ConfigError(f"params.y: the pair-distance curve needs y != params.x0, got {p['y']!r} for both")
+    _check_distinct(sys_, p["y"], p["x0"], "the pair-distance curve")
     kv = dict(
         epsilons=p["epsilons"],
         horizons=None if p["horizons"] is None else tuple(p["horizons"]),

@@ -52,9 +52,11 @@ def distance(space: str, a, b):
     Circle: any reals, each reduced by ``mod1``, then the shorter arc
     min(d, 1 - d), in [0, 1/2]. Interval: |a - b|. Projective: unit
     representatives along the last axis, and the sine of the angle between
-    their lines, sqrt(1 - <a, b>^2), which no antipode changes. The inner
-    product is one einsum, so a pair measured alone and the same pair as a row
-    of an ensemble get the same bits.
+    their lines as the wedge norm sqrt(sum_{i<j} (a_i b_j - a_j b_i)^2). It
+    does not cancel for nearly equal lines, as sqrt(1 - <a, b>^2) does below
+    about 1.5e-8, and an antipode only flips the sign of each term. The terms
+    are summed elementwise in a fixed order, so a pair measured alone and the
+    same pair as a row of an ensemble get the same bits.
 
     Symmetric bit for bit in a and b. A single pair gives a float.
     """
@@ -64,8 +66,13 @@ def distance(space: str, a, b):
     elif space == INTERVAL:
         d = np.abs(np.subtract(a, b))
     elif space == PROJECTIVE:
-        g = np.einsum("...i,...i->...", a, b)
-        d = np.sqrt(np.maximum(0.0, 1.0 - g * g))
+        a, b = np.asarray(a), np.asarray(b)
+        d = 0.0
+        for i in range(a.shape[-1]):
+            for j in range(i + 1, a.shape[-1]):
+                w = a[..., i] * b[..., j] - a[..., j] * b[..., i]
+                d = d + w * w
+        d = np.sqrt(d)
     else:
         raise ValueError(f"unknown space {space!r}")
     return float(d) if d.ndim == 0 else d

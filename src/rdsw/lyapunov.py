@@ -271,8 +271,6 @@ class _SyncStat:
     def __call__(self, rows, n):
         av, bv = np.full(1, self.x), np.full(1, self.y)
         d0 = distance(self.system.space, av, bv)
-        if np.any(d0 <= 0.0):
-            raise ValueError("sync deviation statistic needs x != y")
         for row in rows:
             av, bv = _widen((av, bv), row.size)
             ensemble_apply_many(self.system, (av, bv), row)
@@ -378,9 +376,9 @@ def sync_ld_curve(
     usable horizon and gamma_hat (the first-assertion check).
     """
     _check_exact_budget(exact_budget)
-    if float(x) == float(y):
-        raise ArgumentError(f"y: must differ from x, got {float(y)!r} for both")
-    g = _resolve_gamma(system, x, seed, gamma_hat)
+    g = _resolve_gamma(system, x, seed, gamma_hat)  # refuses a system without derivatives, projective ones included
+    if distance(system.space, x, y) == 0.0:
+        raise ArgumentError(f"y: must be a point other than x = {float(x)!r}, got {float(y)!r}")
     builder = _SyncStat(system, x, y, g)
     return _build_curve(system, builder, epsilons, horizons, replicas, seed, g, exact_budget)
 
@@ -406,8 +404,8 @@ def distortion_report(
     """
     if not all(m.has_derivative for m in system.maps):
         raise RefusalError("distortion_report needs derivative support for every map")
-    if float(x) == float(y):
-        raise ArgumentError(f"y: must differ from x, got {float(y)!r} for both")
+    if distance(system.space, x, y) == 0.0:
+        raise ArgumentError(f"y: must be a point other than x = {float(x)!r}, got {float(y)!r}")
     deltas = np.geomspace(1e-4, 0.25, 8)
     omega = _omega_grid(system, deltas)
     circle = system.space == CIRCLE

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CIRCLE, PROJECTIVE, distance
+from .geometry import CIRCLE, INTERVAL, PROJECTIVE, distance
 from .systems import SystemSpec, WordStream, _resolve_word, _start_state, ensemble_apply_many, iterate
 from .util import ArgumentError, RefusalError, linear_fit
 
@@ -169,11 +169,8 @@ def local_contraction_probe(
     A word succeeds when diam(f_word^k(B)) <= q_target^k for every k <= n.
     On the interval and circle the ball is an arc and monotonicity makes the
     two endpoints exact; on projective space the ball is tracked through a
-    64-direction sample. Its diameter is sqrt(1 - g^2), with g the smallest
-    |<p_k, p_l>| over the pairs k <= l of each replica's cloud
-    (``_min_abs_inner``): the same bits as the minimum over the full Gram
-    matrix, while each step holds O(replicas * 64) floats, not the
-    replicas * 64^2 of that matrix.
+    64-direction sample, whose diameter is the largest ``distance`` between
+    two of its directions (``_cloud_diameter``).
     """
     if not math.isfinite(radius) or radius <= 0.0:
         raise ArgumentError(f"radius: must be a positive finite real, got {radius!r}")
@@ -191,43 +188,36 @@ def local_contraction_probe(
         flat = np.tile(cloud, (replicas, 1))
         for step, row in enumerate(stream.rows(n, replicas)):
             ensemble_apply_many(system, (flat,), np.repeat(row, cloud.shape[0]))
-            g = _min_abs_inner(flat.reshape(replicas, cloud.shape[0], -1))
-            diam = np.sqrt(np.maximum(0.0, 1.0 - g * g))
-            ok &= diam <= qk[step]
+            ok &= _cloud_diameter(flat.reshape(replicas, cloud.shape[0], -1)) <= qk[step]
         return float(np.mean(ok))
     xf = float(x)
-    if system.space == CIRCLE:
+    circle = system.space == CIRCLE
+    if circle:
         lo = np.full(replicas, (xf - radius) % 1.0)
         hi = np.full(replicas, (xf + radius) % 1.0)
     else:
         lo = np.full(replicas, max(0.0, xf - radius))
         hi = np.full(replicas, min(1.0, xf + radius))
-    circle = system.space == CIRCLE
     for step, row in enumerate(stream.rows(n, replicas)):
         ensemble_apply_many(system, (lo, hi), row)
-        if circle:
-            diam = np.minimum((hi - lo) % 1.0, 0.5)
-        else:
-            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-            diam = hi - lo
+        diam = np.minimum((hi - lo) % 1.0, 0.5) if circle else distance(INTERVAL, lo, hi)
         ok &= diam <= qk[step]
     return float(np.mean(ok))
 
 
-def _min_abs_inner(pts: np.ndarray) -> np.ndarray:
-    """Per replica, the smallest |<p_k, p_l>| over the pairs k <= l of ``pts`` (replicas, count, d).
+def _cloud_diameter(pts: np.ndarray) -> np.ndarray:
+    """Per replica, the largest ``distance`` between two rows of ``pts`` (replicas, count, d).
 
-    Sweeps the rows k of the cloud: row k's products with rows k..count-1
-    reduce into a running minimum. The Gram matrix is bitwise symmetric and
-    fl(g * g) is monotone in |g|, so the square of the result equals the
-    minimum of g * g over the full matrix bit for bit.
+    Sweeps the rows k of the cloud: row k's distances to rows k+1..count-1
+    reduce into a running maximum, so a step holds O(replicas * count)
+    distances, not all replicas * count^2 pairs. ``distance`` is symmetric bit
+    for bit and 0 on the diagonal, so this is the all-pairs maximum bit for bit.
     """
     q = np.ascontiguousarray(pts.transpose(1, 0, 2))
-    best = np.full(q.shape[1], np.inf)
-    for k in range(q.shape[0]):
-        g = np.einsum("rd,lrd->lr", q[k], q[k:])
-        np.minimum(best, np.abs(g, out=g).min(axis=0), out=best)
-    return best
+    diam = np.zeros(q.shape[1])
+    for k in range(q.shape[0] - 1):
+        np.maximum(diam, distance(PROJECTIVE, q[k], q[k + 1 :]).max(axis=0), out=diam)
+    return diam
 
 
 def _projective_ball(system: SystemSpec, x, radius: float, count: int) -> np.ndarray:

@@ -267,6 +267,14 @@ _PROJECTIVE_PLANE = {
             {"command": "ld", "system": "slope_pair", "params": {"x0": 0.3, "y": 0.3}},
             "config error: params.y: the pair-distance curve needs y != params.x0, got 0.3 for both",
         ),
+        (
+            {"command": "ld", "system": "anton", "params": {"x0": 0.25, "y": 1.25}},
+            "config error: params.y: the pair-distance curve needs y != params.x0, got 1.25 and 0.25, one point mod 1",
+        ),
+        (
+            {"command": "lyapunov", "system": "anton", "params": {"distortion": True, "x0": 0.25, "y": 1.25}},
+            "config error: params.y: the distortion report needs y != params.x0, got 1.25 and 0.25, one point mod 1",
+        ),
     ],
     ids=[
         "missing-key",
@@ -303,6 +311,8 @@ _PROJECTIVE_PLANE = {
         "lyapunov-replicas",
         "distortion-default-y",
         "ld-equal-starts",
+        "ld-equal-mod-1",
+        "distortion-equal-mod-1",
     ],
 )
 def test_inline_construction_errors_name_the_field(tmp_path, capsys, payload, expected):
@@ -506,6 +516,18 @@ def test_lyapunov_rejects_circle_distortion_before_computing(tmp_path, capsys, m
     cfg = _write_config(tmp_path, "l.json", {"system": "anton", "params": {"distortion": True}})
     assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "params.y: required" in capsys.readouterr().err
+
+
+def test_cocycle_verify_lc_default_config_resolves_contraction(tmp_path):
+    """At the default n = 2000 the envelope q_target^k falls far below 1.5e-8,
+    where a projective distance of the form sqrt(1 - <a, b>^2) reads 0 or
+    1.49e-8, so that every word would fail; the wedge norm keeps resolving."""
+    cfg = _write_config(tmp_path, "c.json", {"command": "cocycle", "cocycle": "diag_rot", "params": {"mode": "verify_lc"}})
+    assert main(["cocycle", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    header, row = (tmp_path / "run" / "lc.csv").read_text().splitlines()
+    fraction = float(dict(zip(header.split(","), row.split(",")))["fraction"])
+    print(f"default verify_lc fraction {fraction}")
+    assert fraction > 0.0
 
 
 def test_guard_errors_exit_4(tmp_path, capsys):

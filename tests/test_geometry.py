@@ -50,8 +50,16 @@ def test_projective_distance_antipode_invariant():
     d = distance(PROJECTIVE, v, w)
     print(f"projective distance e1 vs 45deg: {d}")
     assert d == pytest.approx(np.sqrt(0.5), abs=1e-12)
-    assert distance(PROJECTIVE, v, -w) == pytest.approx(d, abs=1e-12), "antipode changed the distance"
+    assert distance(PROJECTIVE, v, -w) == d, "antipode changed the distance"
     assert distance(PROJECTIVE, v, v) == 0.0
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1e-12])
+def test_projective_distance_resolves_small_angles(theta):
+    """One ulp of <a, b>^2 is a distance of about 1.5e-8 in sqrt(1 - <a, b>^2);
+    the wedge norm has no such floor."""
+    d = distance(PROJECTIVE, np.array([1.0, 0.0]), np.array([np.cos(theta), np.sin(theta)]))
+    assert d == pytest.approx(np.sin(theta), rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8])

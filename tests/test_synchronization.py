@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from rdsw.acceptance import DIAG_ROT_CHI_TOP
 from rdsw.cocycles import CocycleSpec, cocycle_gallery, cocycle_gallery_ids, projective_system
 from rdsw.gallery import gallery, gallery_ids
 from rdsw.geometry import CIRCLE, PROJECTIVE, distance
 from rdsw.synchronization import (
     _LCP_BASE,
-    _min_abs_inner,
+    _cloud_diameter,
     _projective_ball,
     average_sync_sum,
     fit_sync_rate,
@@ -115,6 +116,17 @@ def test_fit_sync_rate_exact_on_binary():
         assert 44 <= fit.censored_at <= 50
 
 
+def test_projective_sync_rate_is_the_lyapunov_gap():
+    """Lines from e1 and e2 under diag_rot approach at rate -(chi1 - chi2) =
+    -2 chi1, since its exponents sum to 0. The fit sees that rate only if the
+    distance resolves gaps far below 1.5e-8."""
+    sys = projective_system(cocycle_gallery("diag_rot"))
+    e = np.eye(2)
+    rates = [fit_sync_rate(paired_orbit(sys, e[0], e[1], sys.word_stream(seed, 5), 400)).rate for seed in range(1, 17)]
+    print(f"median fitted rate {np.median(rates):.4f}, predicted {-2 * DIAG_ROT_CHI_TOP}")
+    assert abs(np.median(rates) + 2 * DIAG_ROT_CHI_TOP) < 0.1
+
+
 def test_fit_refuses_all_censored_trace():
     sys = gallery("binary_affine")
     trace = paired_orbit(sys, 0.5, 0.5 + 1e-13, [0] * 20, 20)
@@ -188,29 +200,30 @@ def _probe_systems():
     ]
 
 
-def _reference_gram_steps(system, radius, n, replicas, seed):
-    """The full-Gram loop the probe's row sweep replaces: each step's cloud
-    and, per replica, the minimum of g * g over its whole Gram matrix."""
+def _reference_diameter_steps(system, radius, n, replicas, seed):
+    """The full pairwise loop the probe's row sweep replaces: each step's cloud
+    and, per replica, the largest ``distance`` over all pairs of its directions."""
     center = np.eye(system.maps[0].dim)[0]
     cloud = _projective_ball(system, center, radius, 64)
     flat = np.tile(cloud, (replicas, 1))
     for row in system.word_stream(seed, _LCP_BASE).rows(n, replicas):
         ensemble_apply_many(system, (flat,), np.repeat(row, 64))
         pts = flat.reshape(replicas, 64, -1)
-        g = np.einsum("rkd,rld->rkl", pts, pts)
-        yield pts, np.min(g * g, axis=(1, 2))
+        yield pts, distance(PROJECTIVE, pts[:, :, None, :], pts[:, None, :, :]).max(axis=(1, 2))
 
 
 @pytest.mark.parametrize("replicas", [1, 7, 256])
 @pytest.mark.parametrize("sys", _probe_systems(), ids=lambda s: s.name)
 def test_probe_diameter_matches_full_gram_bitwise(sys, replicas):
+    """The row sweep equals the maximum over the full matrix of pairwise
+    distances, the projective counterpart of a Gram matrix, bit for bit."""
     radius, n, q_target = 0.05, 30, 0.9
     qk = q_target ** np.arange(1, n + 1)
     ok = np.ones(replicas, dtype=bool)
-    for step, (pts, want) in enumerate(_reference_gram_steps(sys, radius, n, replicas, seed=3)):
-        got = _min_abs_inner(pts)
-        assert np.array_equal((got * got).view(np.uint64), want.view(np.uint64)), f"{sys.name} step {step}"
-        ok &= np.sqrt(np.maximum(0.0, 1.0 - want)) <= qk[step]
+    for step, (pts, want) in enumerate(_reference_diameter_steps(sys, radius, n, replicas, seed=3)):
+        got = _cloud_diameter(pts)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"{sys.name} step {step}"
+        ok &= want <= qk[step]
     center = np.eye(sys.maps[0].dim)[0]
     frac = local_contraction_probe(sys, center, radius, n, replicas, q_target, seed=3)
     assert frac == float(np.mean(ok))
