@@ -135,8 +135,8 @@ def _case_sigma2_clt(threads: int = 1):
     ok_sigma = abs(est.sigma2 - 0.25) <= 0.025
     clt_rows = []
     ok_clt = True
-    for x0 in (0.0, 0.25, 0.97):
-        r = clt_test(sys, h, x0, n=10_000, replicas=10_000, seed=22)
+    starts = (0.0, 0.25, 0.97)
+    for x0, r in zip(starts, clt_test(sys, h, starts, n=10_000, replicas=10_000, seed=22)):
         clt_rows.append((x0, r.ks_stat, r.threshold, int(r.passed), r.verdict))
         ok_clt = ok_clt and r.passed
     files = {

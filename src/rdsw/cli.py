@@ -502,6 +502,7 @@ def _cmd_limits(run: _Run, sys_: SystemSpec, p: dict):
     y=("real", None),
 )
 def _cmd_lyapunov(run: _Run, sys_: SystemSpec, p: dict):
+    _check_starts(sys_, p, "x0", "y")
     y = p["y"]
     if p["distortion"]:
         if sys_.space != INTERVAL and y is None:
@@ -536,6 +537,7 @@ def _cmd_lyapunov(run: _Run, sys_: SystemSpec, p: dict):
     exact_budget=("pint", None),
 )
 def _cmd_ld(run: _Run, sys_: SystemSpec, p: dict):
+    _check_starts(sys_, p, "x0", "y")
     _check_horizon({"horizons": max(p["horizons"] or [0])}, "horizons")
     _check_distinct(sys_, p["y"], p["x0"], "the pair-distance curve")
     kv = dict(

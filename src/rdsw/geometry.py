@@ -24,14 +24,15 @@ INTERVAL = "interval"
 PROJECTIVE = "projective"
 
 
-def mod1(x):
+def mod1(x, out=None):
     """x % 1.0 bit for bit (a float's fraction is exact, and x - floor(x) rounds
     1 - f as fmod(x, 1) + 1 does), without numpy's slow remainder loop.
 
     The circle's one reduction into [0, 1). Like x % 1.0 it returns 1.0 for a
-    negative x within half an ulp of 1 below an integer.
+    negative x within half an ulp of 1 below an integer. With ``out`` it writes
+    the result there, which may be ``x`` itself.
     """
-    return x - np.floor(x)
+    return np.subtract(x, np.floor(x), out=out)
 
 
 def coordinate_grid(space: str, k: int) -> np.ndarray:

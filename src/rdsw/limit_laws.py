@@ -15,7 +15,7 @@ from scipy.special import ndtr
 
 from .geometry import CIRCLE, INTERVAL, distance
 from .measures import EmpiricalMeasure, estimate_stationary, resample
-from .systems import SystemSpec, WordStream, ensemble_apply, iterate
+from .systems import SystemSpec, WordStream, _finite_array, ensemble_steps, iterate
 from .util import ArgumentError, RefusalError
 
 __all__ = [
@@ -164,28 +164,23 @@ class LilResult:
     sigma2_hat: float
 
 
-def _ensemble_sums(system: SystemSpec, h, x0s: np.ndarray, n: int, stream, marks=None):
+def _ensemble_sums(system: SystemSpec, h, x0s: np.ndarray, n: int, stream, marks=()):
     """Birkhoff sums over an ensemble; optionally record S at given step counts.
 
+    ``x0s`` has shape (..., replicas): leading axes run on the same words.
     Returns (S_final, recorded) where recorded[m] is a copy of S after m terms
-    for each m in marks. The k-th term is h at the pre-step position, so the
-    initial point contributes the first term.
+    for each m in marks up to n. The k-th term is h at the pre-step position,
+    so the initial point contributes the first term.
     """
-    replicas = x0s.shape[0]
     x = np.array(x0s, dtype=float)
-    s = np.zeros(replicas)
+    s = np.zeros_like(x)
+    marks = {int(m) for m in np.asarray(marks).reshape(-1)}
     recorded: dict[int, np.ndarray] = {}
-    marks = [] if marks is None else sorted(set(int(m) for m in np.asarray(marks).reshape(-1)))
-    mark_iter = iter(marks)
-    next_mark = next(mark_iter, None)
-    terms = 0
-    for row in stream.rows(n, replicas):
-        s += np.asarray(h(x), dtype=float)
-        ensemble_apply(system, x, row)
-        terms += 1
-        while next_mark is not None and next_mark == terms:
-            recorded[terms] = s.copy()
-            next_mark = next(mark_iter, None)
+    for k in ensemble_steps(system, stream, n, x.shape[-1], (x,)):
+        if k in marks:
+            recorded[k] = s.copy()
+        if k < n:
+            s += np.asarray(h(x), dtype=float)
     return s, recorded
 
 
@@ -282,7 +277,7 @@ def clt_test(
     n: int,
     replicas: int,
     seed: int = 0,
-) -> CltResult:
+) -> CltResult | tuple[CltResult, ...]:
     """Kolmogorov-Smirnov normality check of quenched normalized sums.
 
     All replicas start at the same x0. Normalization uses the self-consistent
@@ -290,12 +285,28 @@ def clt_test(
     S_n/sqrt(n); the pass threshold 1.63/sqrt(replicas) + 0.01 budgets the
     plug-in error. A variance below 1e-12 routes to the degenerate verdict,
     which passes only when every normalized sum is numerically zero.
+
+    ``x0`` is one real, or a non-empty 1-D sequence of reals: then every start
+    runs on the same words (those of a call with one start) in one pass, and
+    the result is a tuple with one CltResult per start.
     """
     if replicas < 100:
         raise ArgumentError(f"replicas: must be at least 100, got {replicas}")
+    try:
+        starts = _finite_array("x0", x0)
+    except ValueError:
+        starts = None
+    if starts is None or starts.ndim > 1 or starts.size == 0:
+        raise ArgumentError("x0: expected a finite real or a non-empty 1-D sequence of finite reals")
     stream = system.word_stream(seed, _CLT_BASE)
-    x0s = np.full(replicas, float(x0))
-    s, _ = _ensemble_sums(system, h, x0s, n, stream)
+    x0s = np.broadcast_to(starts.reshape(-1, 1), (starts.size, replicas))
+    sums, _ = _ensemble_sums(system, h, x0s, n, stream)
+    results = tuple(_clt_result(s, n, replicas) for s in sums)
+    return results[0] if starts.ndim == 0 else results
+
+
+def _clt_result(s: np.ndarray, n: int, replicas: int) -> CltResult:
+    """clt_test's verdict on the replica sums ``s`` of one start."""
     nu_hat = float(s.mean() / n)
     sigma2_hat = float(s.var(ddof=1) / n)
     threshold = 1.63 / math.sqrt(replicas) + 0.01

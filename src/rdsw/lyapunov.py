@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import CIRCLE, coordinate_grid, distance
 from .measures import estimate_stationary
-from .systems import WORD_BUDGET, SystemSpec, ensemble_apply, ensemble_apply_many, word_levels
+from .systems import WORD_BUDGET, SystemSpec, ensemble_apply, ensemble_apply_many, ensemble_steps, word_levels
 from .util import ArgumentError, RefusalError, linear_fit, table_chunks, wilson_interval
 
 __all__ = [
@@ -132,8 +132,8 @@ def estimate_gamma(
     stream = system.word_stream(seed, _GAMMA_BASE)
     x = np.full(replicas, float(x0))
     ld = np.zeros(replicas)
-    for row in stream.rows(n, replicas):
-        ensemble_apply(system, x, row, log_deriv=ld)
+    for _ in ensemble_steps(system, stream, n, replicas, (x,), log_deriv=ld):
+        pass
     per = ld / n
     gamma_hat = float(per.mean())
     stderr = float(per.std(ddof=1) / math.sqrt(replicas))
@@ -422,18 +422,14 @@ def distortion_report(
         init_len = [hi - lo]
     stream = system.word_stream(seed, _DIST_BASE)
     n_arcs = len(grids)
-    pts = np.concatenate([np.tile(g, replicas) for g in grids])  # arc-major blocks
+    pts = np.repeat(np.stack(grids)[:, :, None], replicas, axis=2)  # (arcs, grid point, replica)
     ld = np.zeros_like(pts)
     spreads = np.empty((n_arcs, replicas, n))
-    for step, row in enumerate(stream.rows(n, replicas)):
-        ensemble_apply(system, pts, np.tile(np.repeat(row, 32), n_arcs), log_deriv=ld)
-        shaped = ld.reshape(n_arcs, replicas, 32)
-        spreads[:, :, step] = shaped.max(axis=2) - shaped.min(axis=2)
-    final = pts.reshape(n_arcs, replicas, 32)
+    for k in ensemble_steps(system, stream, n, replicas, (pts,), log_deriv=ld):
+        if k:
+            spreads[:, :, k - 1] = ld.max(axis=1) - ld.min(axis=1)
     if circle:
-        flen = np.stack(
-            [(final[a, :, -1] - final[a, :, 0]) % 1.0 for a in range(n_arcs)]
-        )
+        flen = np.stack([(pts[a, -1] - pts[a, 0]) % 1.0 for a in range(n_arcs)])
         pick = np.argmin(flen, axis=0)
         tie = flen[0] == flen[1]
         pick[tie] = int(np.argmin(init_len))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CIRCLE, INTERVAL, PROJECTIVE, distance
-from .systems import SystemSpec, WordStream, _resolve_word, _start_state, ensemble_apply_many, iterate
+from .systems import SystemSpec, WordStream, _resolve_word, _start_state, ensemble_apply_many, ensemble_steps, iterate
 from .util import ArgumentError, RefusalError, linear_fit
 
 __all__ = [
@@ -144,9 +144,9 @@ def average_sync_sum(
     bv = np.full((replicas, *np.shape(b0)), b0)
     means = np.empty(n + 1)
     means[0] = distance(system.space, a0, b0) ** alpha
-    for step, row in enumerate(stream.rows(n, replicas), 1):
-        ensemble_apply_many(system, (av, bv), row)
-        means[step] = float(np.mean(distance(system.space, av, bv) ** alpha))
+    for k in ensemble_steps(system, stream, n, replicas, (av, bv)):
+        if k:
+            means[k] = float(np.mean(distance(system.space, av, bv) ** alpha))
     sums = np.cumsum(means)
     m0 = int(math.floor(0.9 * n))
     total = float(sums[-1])
@@ -198,10 +198,10 @@ def local_contraction_probe(
     else:
         lo = np.full(replicas, max(0.0, xf - radius))
         hi = np.full(replicas, min(1.0, xf + radius))
-    for step, row in enumerate(stream.rows(n, replicas)):
-        ensemble_apply_many(system, (lo, hi), row)
-        diam = np.minimum((hi - lo) % 1.0, 0.5) if circle else distance(INTERVAL, lo, hi)
-        ok &= diam <= qk[step]
+    for k in ensemble_steps(system, stream, n, replicas, (lo, hi)):
+        if k:
+            diam = np.minimum((hi - lo) % 1.0, 0.5) if circle else distance(INTERVAL, lo, hi)
+            ok &= diam <= qk[k - 1]
     return float(np.mean(ok))
 
 
@@ -264,9 +264,9 @@ def proximality_probe(
     ys = np.repeat(np.array([b for _, b in pair_grid]), replicas)
     best = np.full(p * replicas, np.inf)
     stream = system.word_stream(seed, _PROX_BASE)
-    for row in stream.rows(horizon, p * replicas):
-        ensemble_apply_many(system, (xs, ys), row)
-        np.minimum(best, distance(system.space, xs, ys), out=best)
+    for k in ensemble_steps(system, stream, horizon, p * replicas, (xs, ys)):
+        if k:
+            np.minimum(best, distance(system.space, xs, ys), out=best)
     mins = best.reshape(p, replicas).min(axis=1)
     out = []
     for (a, b), mn in zip(pair_grid, mins):

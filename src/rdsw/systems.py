@@ -35,12 +35,14 @@ __all__ = [
     "word_levels",
     "ensemble_apply",
     "ensemble_apply_many",
+    "ensemble_steps",
 ]
 
 _TWO_PI = 2.0 * math.pi
 WORD_BUDGET = 1 << 24
 MAX_MAPS = 127  # symbols are int8
 _CHUNK = 1 << 15  # states per pass of the ensemble step: keeps its temporaries cache-sized
+_GATHER = 1 << 14  # symbols per coefficient gather of ensemble_steps: keeps the gathered block small
 _ORBIT_BLOCK = 1 << 12  # symbols per orbit-kernel call of iterate: its list of floats stays a small transient
 _REALS = (int, float, np.integer, np.floating)
 _FLOAT_MAX = sys.float_info.max
@@ -95,14 +97,17 @@ class MapSpec:
     evaluator; ``deriv`` is the signed derivative of the lift. A family with a
     coefficient table names in ``_table`` the class whose static methods are
     its formula, and gives its coefficients as ``table_row()``. ``_step(x,
-    slope, *row)`` is the family's one numpy formula: it returns the image of
-    ``x`` and, only when ``slope`` is true, the derivative there (else None),
-    evaluating their shared part once. The ``__call__``/``deriv`` defined here
-    run it on the map's own row, and ``ensemble_apply`` on the rows gathered
-    by each state's symbol, so both paths round alike. A family without a
-    table (``_table`` None) defines its own ``__call__``/``deriv``; the
-    ``_step`` and ``_orbit`` defined here then step its ensembles and orbits
-    through them.
+    slope, *row, out=None)`` is the family's one numpy formula: it returns the
+    image of ``x`` and, only when ``slope`` is true, the derivative there (else
+    None), evaluating their shared part once. With ``out``, which may be ``x``,
+    it writes the image there through ufunc ``out`` arguments in the same
+    order of operations, after reading all that the derivative needs. The
+    ``__call__``/``deriv`` defined here run it on the map's own row, and
+    ``ensemble_apply`` and ``ensemble_steps`` on the rows gathered by each
+    state's symbol, so all paths round alike. A family without a table
+    (``_table`` None) defines its own ``__call__``/``deriv``; the ``_step``
+    and ``_orbit`` defined here then step its ensembles and orbits through
+    them.
 
     ``_orbit(x, symbols, *columns)`` is the single-orbit kernel, which
     ``iterate`` runs: from the float ``x`` it steps through ``symbols`` (a
@@ -182,8 +187,9 @@ class AffineMap(MapSpec):
         return (self.a, self.b)
 
     @staticmethod
-    def _step(x, slope, a, b):
-        return np.minimum(1.0, np.maximum(0.0, a * x + b)), (np.full_like(x, a) if slope else None)
+    def _step(x, slope, a, b, out=None):
+        y = np.maximum(0.0, np.add(np.multiply(a, x, out=out), b, out=out), out=out)
+        return np.minimum(1.0, y, out=out), (np.full_like(x, a) if slope else None)
 
     @staticmethod
     def _orbit(x, symbols, a, b):
@@ -249,15 +255,15 @@ class PerturbedRotation(MapSpec):
         return (self.c, self._k, self._w, self.amp, self.phase)
 
     @staticmethod
-    def _lift(x, c, k, w, phase):
+    def _lift(x, c, k, w, phase, out=None):
         """The lift x + c + k sin(t) and its argument t = w x + phase."""
         t = w * x + phase
-        return x + c + k * np.sin(t), t
+        return np.add(np.add(x, c, out=out), k * np.sin(t), out=out), t
 
     @staticmethod
-    def _step(x, slope, c, k, w, amp, phase):
-        lift, t = PerturbedRotation._lift(x, c, k, w, phase)
-        return mod1(lift), (1.0 + amp * np.cos(t) if slope else None)
+    def _step(x, slope, c, k, w, amp, phase, out=None):
+        lift, t = PerturbedRotation._lift(x, c, k, w, phase, out)
+        return mod1(lift, out), (1.0 + amp * np.cos(t) if slope else None)
 
     @staticmethod
     def _orbit(x, symbols, c, k, w, amp, phase):
@@ -306,12 +312,13 @@ class MoebiusMap(MapSpec):
         return (m00, m01, m10, m11, self.det)
 
     @staticmethod
-    def _step(x, slope, m00, m01, m10, m11, det):
+    def _step(x, slope, m00, m01, m10, m11, det, out=None):
         th = math.pi * x
         c, s = np.cos(th), np.sin(th)
         u, v = m00 * c + m01 * s, m10 * c + m11 * s  # (u, v) = A (cos pi x, sin pi x)
         del th, c, s  # free them before the image and slope, as large as x
-        return mod1(np.arctan2(v, u) / math.pi), (det / (u * u + v * v) if slope else None)
+        y = mod1(np.divide(np.arctan2(v, u, out=out), math.pi, out=out), out)
+        return y, (det / (u * u + v * v) if slope else None)
 
     @staticmethod
     def _orbit(x, symbols, m00, m01, m10, m11, det):
@@ -839,3 +846,61 @@ def ensemble_apply_many(system: SystemSpec, arrays, srow: np.ndarray):
         row = group.gather(s)
         for a in arrays:
             a[states] = group.step(a[states], False, *row)[0]
+
+
+def ensemble_steps(system: SystemSpec, stream: WordStream, n: int, width: int, states, log_deriv=None):
+    """Step ensembles in place along the (n, width) symbol matrix of ``stream``.
+
+    A generator: it yields k, the number of steps taken so far, before each
+    step and once after the last (k = 0..n), so a caller reads its statistic
+    of the states at each yield. ``states`` is a tuple of arrays of shape
+    (..., width) on the circle and the interval, (..., width, d) on projective
+    space, C-contiguous when they have leading axes. Column j follows replica
+    j's word, so leading axes share one symbol row by broadcasting. ``log_deriv`` goes with a lone state array, has its
+    shape and accumulates log |f'| before each move as in ``ensemble_apply``.
+
+    When one coefficient table holds every map, its columns are gathered once
+    per sub-block of at most ``_GATHER`` symbols and its ``_step`` writes each
+    state array in place. The cap keeps the gathered columns, several times
+    the symbols' size, from doubling a block's memory: a whole ``blocks``
+    block of Moebius columns is 5 MB. Any other system makes each row's
+    ``ensemble_apply`` (one array) or ``ensemble_apply_many`` call, on the
+    arrays with their leading axes merged. Either way each state gets the
+    bits of the per-row loop, since the arithmetic is elementwise.
+    """
+    groups = system._groups
+    if len(groups) > 1 or groups[0].columns is None:
+        yield from _row_steps(system, stream, n, width, states, log_deriv)
+        return
+    step, columns = groups[0].step, groups[0].columns
+    per = max(1, _GATHER // width)
+    slope = log_deriv is not None
+    k = 0
+    for _, block in stream.blocks(n, width):
+        for lo in range(0, block.shape[0], per):
+            for row in zip(*columns.take(block[lo : lo + per], axis=1)):
+                yield k
+                for a in states:
+                    d = step(a, slope, *row, out=a)[1]
+                if slope:
+                    log_deriv += np.log(np.abs(d))
+                k += 1
+    yield k
+
+
+def _row_steps(system: SystemSpec, stream: WordStream, n: int, width: int, states, log_deriv):
+    """``ensemble_steps`` by one ``ensemble_apply`` or ``ensemble_apply_many``
+    call per row, on views of the arrays with their leading axes merged."""
+    lead = states[0].shape[: states[0].ndim - (2 if system.space == PROJECTIVE else 1)]
+    flat = [a.reshape(-1, *a.shape[len(lead) + 1 :]) for a in states]
+    ld = None if log_deriv is None else log_deriv.reshape(-1)
+    k = 0
+    for row in stream.rows(n, width):
+        yield k
+        srow = np.broadcast_to(row, (*lead, width)).reshape(-1)
+        if len(flat) == 1:
+            ensemble_apply(system, flat[0], srow, ld)
+        else:
+            ensemble_apply_many(system, flat, srow)
+        k += 1
+    yield k

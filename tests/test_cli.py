@@ -212,6 +212,14 @@ _PROJECTIVE_PLANE = {
             "config error: params.x: a projective start needs 2 coordinates, got 1",
         ),
         (
+            {"command": "ld", "system": _PROJECTIVE_PLANE, "params": {"x0": 0.3}},
+            "config error: params.x0: a projective start needs 2 coordinates, got 1",
+        ),
+        (
+            {"command": "lyapunov", "system": _PROJECTIVE_PLANE},
+            "config error: params.x0: a projective start needs 2 coordinates, got 1",
+        ),
+        (
             {"command": "limits", "system": "binary_affine", "params": {"law": "clt", "replicas": 50}},
             "config error: params.replicas: must be at least 100, got 50",
         ),
@@ -297,6 +305,8 @@ _PROJECTIVE_PLANE = {
         "projective-dimensions",
         "projective-real-x0",
         "projective-real-sync-start",
+        "projective-real-ld-start",
+        "projective-real-lyapunov-start",
         "clt-replicas",
         "sigma2-n",
         "sigma2-replicas",

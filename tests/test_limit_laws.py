@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from rdsw.limit_laws import (
     observable,
     slln_check,
 )
+from rdsw.util import ArgumentError
 
 
 def test_observable_factory_and_call():
@@ -73,6 +76,36 @@ def test_clt_normal_at_two_starts():
         print(f"x0={x0}: KS = {r.ks_stat:.4f} vs threshold {r.threshold:.4f} -> {r.verdict}")
         assert r.passed, f"KS {r.ks_stat} at x0={x0} exceeded {r.threshold}"
         assert r.verdict == "normal"
+
+
+def _bits(result) -> list:
+    """A result's fields, each float as its uint64 bit pattern."""
+    return [np.float64(v).view(np.uint64) if isinstance(v, float) else v for v in dataclasses.astuple(result)]
+
+
+@pytest.mark.parametrize("name, kind, space", [("binary_affine", "coordinate", INTERVAL), ("anton", "cos2pi", CIRCLE)])
+def test_clt_starts_share_words_with_separate_calls(name, kind, space):
+    """Several starts in one pass equal one call per start, field for field."""
+    sys = gallery(name)
+    h = observable(kind, space)
+    starts = (0.0, 0.25, 0.97)
+    together = clt_test(sys, h, starts, n=300, replicas=200, seed=3)
+    assert isinstance(together, tuple) and len(together) == len(starts)
+    for x0, r in zip(starts, together):
+        alone = clt_test(sys, h, x0, n=300, replicas=200, seed=3)
+        assert _bits(r) == _bits(alone), x0
+    assert _bits(clt_test(sys, h, np.array([0.97]), n=300, replicas=200, seed=3)[0]) == _bits(together[2])
+
+
+@pytest.mark.parametrize(
+    "x0",
+    [(), np.array([]), np.zeros((2, 2)), [[0.1], [0.2]], True, [0.1, True], [0.1, float("nan")], float("inf"), "0.5"],
+    ids=["empty-tuple", "empty-array", "2d-array", "nested-list", "bool", "bool-entry", "nan-entry", "inf", "string"],
+)
+def test_clt_starts_are_validated(x0):
+    sys = gallery("binary_affine")
+    with pytest.raises(ArgumentError, match=r"^x0: "):
+        clt_test(sys, observable("coordinate", INTERVAL), x0, n=10, replicas=100)
 
 
 def test_lil_median_in_band():

@@ -29,6 +29,7 @@ from rdsw.systems import (
     WordStream,
     ensemble_apply,
     ensemble_apply_many,
+    ensemble_steps,
     iterate,
     map_from_params,
     word_levels,
@@ -393,7 +394,9 @@ def test_ensemble_step_matches_per_map_loop_bitwise(name, replicas, n):
 
 
 _TABLE_FAMILIES = {
-    "affine": [AffineMap(0.5, 0.0), AffineMap(0.5, 0.5), AffineMap(-0.75, 0.9), AffineMap(1.5, -0.2)],
+    # b = -0.0 sends the state -0.0 to -0.0 + -0.0: np.maximum(0.0, -0.0) keeps that
+    # zero's sign and np.maximum(-0.0, 0.0) does not, so the clamp's operand order shows
+    "affine": [AffineMap(0.5, 0.0), AffineMap(0.5, 0.5), AffineMap(-0.75, 0.9), AffineMap(1.5, -0.2), AffineMap(0.5, -0.0)],
     "rotation": [Rotation(-0.25), Rotation(0.1), Rotation(0.7071067811865476)],
     "perturbed_rotation": [
         PerturbedRotation(0.1, 0.3, harmonic=2, phase=0.4),
@@ -416,14 +419,18 @@ def _same_bits(got, want) -> bool:
 
 @pytest.mark.parametrize("family", list(_TABLE_FAMILIES))
 def test_numpy_step_matches_frozen_formulas_bitwise(family):
-    """__call__, deriv and the ensemble step against the family formulas as
-    they were stated before ``_step``, bit for bit, over several chunks."""
+    """__call__, deriv, ``_step`` in place and both ensemble steps against the
+    family formulas as they were stated before ``_step``, bit for bit, over
+    several chunks."""
     maps = _TABLE_FAMILIES[family]
     rng = np.random.default_rng(17)
     x = np.concatenate([[0.0, -0.0, 0.25, 0.5, 1.0], rng.uniform(-0.5, 1.5, 4096)])
     for m in maps:
         image, slope = numpy_formula(m)
         assert _same_bits(m(x), image(x)) and _same_bits(m.deriv(x), slope(x)), m
+        y = x.copy()
+        d = m._table._step(y, True, *m.table_row(), out=y)[1]
+        assert _same_bits(y, image(x)) and _same_bits(d, slope(x)), m
         assert _same_bits(m(0.3), image(np.asarray(0.3))) and _same_bits(m.deriv(0.3), slope(np.asarray(0.3))), m
         if isinstance(m, PerturbedRotation):
             c, k, w, _, phase = m.table_row()
@@ -431,8 +438,14 @@ def test_numpy_step_matches_frozen_formulas_bitwise(family):
     sys = SystemSpec(maps, (1.0 / len(maps),) * len(maps))
     width = 2 * systems._CHUNK + 11
     xs, ld = rng.random(width), np.zeros(width)
+    xs[:64] = -0.0
     pair = np.stack([xs, rng.random(width)])
     ref_xs, ref_ld, ref_pair = xs.copy(), ld.copy(), pair.copy()
+    driven, driven_ld, driven_pair = xs.copy(), ld.copy(), pair.copy()
+    for _ in ensemble_steps(sys, sys.word_stream(5), 6, width, (driven,), log_deriv=driven_ld):
+        pass
+    for _ in ensemble_steps(sys, sys.word_stream(5), 6, width, (driven_pair[0], driven_pair[1])):
+        pass
     formulas = [numpy_formula(m) for m in maps]
     for srow in sys.word_stream(5).rows(6, width):
         ensemble_apply(sys, xs, srow, log_deriv=ld)
@@ -444,6 +457,7 @@ def test_numpy_step_matches_frozen_formulas_bitwise(family):
             for a in ref_pair:
                 a[mask] = image(a[mask])
     assert _same_bits(xs, ref_xs) and _same_bits(ld, ref_ld) and _same_bits(pair, ref_pair)
+    assert _same_bits(driven, ref_xs) and _same_bits(driven_ld, ref_ld) and _same_bits(driven_pair, ref_pair)
 
 
 def test_symbol_width_is_bounded():
