@@ -196,7 +196,7 @@ class AffineMap(MapSpec):
         out = []
         for s in symbols:
             x = a[s] * x + b[s]
-            x = (x if x < 1.0 else 1.0) if x > 0.0 else 0.0  # the clamp of _step, -0.0 to 0.0 included
+            x = 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)  # the clamp of _step: keeps -0.0, as np.maximum(0.0, -0.0) does
             out.append(x)
         return out
 

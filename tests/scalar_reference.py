@@ -6,7 +6,11 @@ can pin ``iterate``'s kernels to them. ``numpy_formula`` gives the numpy
 formula of each coefficient-table family as ``_arg``, ``_image_at`` and
 ``_slope_at`` stated it before ``_step`` replaced the three, bodies verbatim,
 so that tests can pin ``__call__``, ``deriv`` and the ensemble step to it.
-Imported by test modules only.
+``row_apply`` and ``row_apply_many`` are the per-row ensemble steps that
+``systems.ensemble_steps`` replaced, with ``select`` (once
+``SystemSpec._select``) and ``_CHUNK``, bodies verbatim, so that tests can pin
+the driver's callers to the loops they ran before. Imported by test modules
+only.
 """
 
 from __future__ import annotations
@@ -111,3 +115,43 @@ def numpy_formula(m):
         lambda x: image_at(x, arg(x, *row), *row),
         lambda x: slope_at(x, arg(x, *row), *row),
     )
+
+
+_CHUNK = 1 << 15  # states per pass of the ensemble step: keeps its temporaries cache-sized
+
+
+def select(system, srow: np.ndarray):
+    """Yield (states, symbols, group) for each group that srow uses, one
+    chunk of ``_CHUNK`` states at a time.
+
+    ``states`` indexes the states of the group: the whole chunk (a slice)
+    when one group holds all the maps, else their positions.
+    """
+    for lo in range(0, srow.size, _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        s = srow[chunk]
+        if len(system._groups) == 1:
+            yield chunk, s, system._groups[0]
+            continue
+        owner = system._group_of[s]
+        for g, group in enumerate(system._groups):
+            idx = np.flatnonzero(owner == g)
+            if idx.size:
+                yield idx + lo, s[idx], group
+
+
+def row_apply(system, xs: np.ndarray, srow: np.ndarray, log_deriv=None):
+    """Advance a vector of states one step under per-state symbols, in place,
+    accumulating log |f'| before the move into ``log_deriv`` when given."""
+    for states, s, group in select(system, srow):
+        xs[states], slope = group.step(xs[states], log_deriv is not None, *group.gather(s))
+        if log_deriv is not None:
+            log_deriv[states] += np.log(np.abs(slope))
+
+
+def row_apply_many(system, arrays, srow: np.ndarray):
+    """Advance several aligned state vectors under one shared symbol row."""
+    for states, s, group in select(system, srow):
+        row = group.gather(s)
+        for a in arrays:
+            a[states] = group.step(a[states], False, *row)[0]

@@ -9,6 +9,7 @@ must come out bit-identical to the combinatorial values.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,30 @@ def test_ld_probabilities_are_exact_binomial_tails():
     print(f"exact tail: {count}/65536 = {expected!r}, curve prob = {curve.probs[0, 0]!r}")
     assert curve.probs[0, 0] == expected, "dyadic weights must reproduce the binomial tail exactly"
     assert curve.ci_low[0, 0] == curve.probs[0, 0] == curve.ci_high[0, 0]
+
+
+def test_ld_exact_cells_equal_the_binomial_closed_form():
+    """Every exact cell of the ``ld-exact-handoff`` curve (horizons 8..20 x ten
+    epsilons) is the binomial tail summed as Fractions and rounded once: a word
+    with k shallow (slope 1/2) and n - k steep (slope 1/4) steps has the
+    statistic -(k + 2(n - k)) log 2 / n and the weight 2^-n."""
+    sys = gallery("slope_pair")
+    gm = estimate_gamma(sys, n=2048, replicas=64, x0=0.2, seed=0).gamma_hat
+    curve = ld_curve(sys, x0=0.2, gamma_hat=gm, seed=51)
+    cells = 0
+    for j, n in enumerate(curve.horizons.tolist()):
+        if not curve.exact[j]:
+            continue
+        for i, eps in enumerate(curve.epsilons):
+            tail = sum(
+                Fraction(math.comb(n, k), 2**n)
+                for k in range(n + 1)
+                if abs(-(k + 2 * (n - k)) * LOG2 / n - gm) > eps
+            )
+            assert curve.probs[i, j] == float(tail), f"n = {n}, eps = {eps!r}"
+            cells += 1
+    assert curve.exact.tolist() == [True, True, True, True, False]
+    assert cells == 40
 
 
 def test_ld_rate_fit_and_default_grid():

@@ -460,6 +460,26 @@ def test_numpy_step_matches_frozen_formulas_bitwise(family):
     assert _same_bits(driven, ref_xs) and _same_bits(driven_ld, ref_ld) and _same_bits(driven_pair, ref_pair)
 
 
+def test_affine_orbit_keeps_negative_zero_like_the_ensemble_step():
+    """With b = -0.0 the image of -0.0 is -0.0; the orbit kernel's clamp keeps
+    that sign as ``_step`` does, so ``iterate``, ``__call__`` and the ensemble
+    step agree bit for bit from every start."""
+    sys = SystemSpec([AffineMap(0.5, -0.0), AffineMap(0.5, 0.5)], [0.5, 0.5])
+    assert _same_bits(iterate(sys, -0.0, [0, 0], 2), [-0.0, -0.0, -0.0])
+    starts = np.array([-0.0, 0.0, 0.3, -0.4, 1.25, 1.0])
+    word = np.array([0, 0, 1, 0, 0, 0, 1, 1, 0], dtype=np.int8)
+    xs = starts.copy()
+    orbits = [iterate(sys, x0, word, word.size) for x0 in starts]
+    for k, s in enumerate(word.tolist(), 1):
+        ensemble_apply(sys, xs, np.full(starts.size, s, dtype=np.int8))
+        for x0, orbit in zip(starts, orbits):
+            called = x0
+            for t in word[:k].tolist():
+                called = sys.maps[t](called)
+            assert _same_bits(orbit[k], called), (x0, k)
+        assert _same_bits([orbit[k] for orbit in orbits], xs), k
+
+
 def test_symbol_width_is_bounded():
     """Symbols are int8: past 127 maps they would wrap to negative table indices."""
     rotations = [Rotation(i / 256.0) for i in range(MAX_MAPS + 1)]

@@ -144,3 +144,46 @@ def test_qn_kernel_matches_word_matrix(idx):
     want = float(np.sum(word_weights(sys, words) * np.asarray(phi(words[:, n - 1], pos), dtype=float)))
     got = qn_identity_test(sys, phi, j, x, n, replicas=16, seed=idx).kernel_value
     assert _bits(got) == _bits(want)
+
+
+def _levels_rows(system, n: int, out: dict):
+    """The rows of ``word_levels``; ``out["weights"]`` ends as the last level's weights."""
+    for srow, out["weights"] in word_levels(system, n):
+        yield srow
+
+
+def _distortion_gaps(system, n: int, x: float, y: float):
+    """n |sync - deriv| per length-n word (the derivative statistic from x, the
+    pair statistic from (x, y)) and the words' weights."""
+    out = {}
+    deriv, _ = _DerivStat(system, x, 0.0)(_levels_rows(system, n, out), n)
+    sync, _ = _SyncStat(system, x, y, 0.0)(_levels_rows(system, n, {}), n)
+    return n * np.abs(sync - deriv), out["weights"]
+
+
+def _weighted_quantile(values, weights, q: float) -> float:
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    return float(values[order][np.searchsorted(cum, q * cum[-1])])
+
+
+@pytest.mark.parametrize("n, above3", [(12, 0.0232), (16, 0.0230), (20, 0.0230)])
+def test_bounded_distortion_on_moebius_words(n, above3):
+    """On the synchronizing moebius_pair the two LD statistics differ by O(1/n)
+    off a small set of words: the weighted law of n |sync - deriv| does not
+    move with n (its maximum does, on words the pair has not merged along)."""
+    gap, w = _distortion_gaps(gallery("moebius_pair"), n, 0.2, 0.7)
+    assert _weighted_quantile(gap, w, 0.5) == pytest.approx(0.673, abs=0.001)
+    assert _weighted_quantile(gap, w, 0.9) == pytest.approx(1.89, abs=0.001)
+    assert _weighted_quantile(gap, w, 0.99) == pytest.approx(3.625, abs=0.01)
+    assert float(np.sum(w[gap > 3.0])) == pytest.approx(above3, abs=0.0001)
+
+
+def test_unbounded_distortion_on_anton_words():
+    """On the non-proximal anton the pair never merges: the median of
+    n |sync - deriv| grows linearly in n, by 0.44-0.52 per step."""
+    sys = gallery("anton")
+    medians = [_weighted_quantile(*_distortion_gaps(sys, n, 0.3, 0.8), 0.5) for n in (6, 8, 10, 12)]
+    assert medians == pytest.approx([2.95, 3.94, 4.83, 5.85], abs=0.01)
+    steps = np.diff(medians) / 2.0
+    assert np.all((0.44 < steps) & (steps < 0.52)), steps
