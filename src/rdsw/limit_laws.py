@@ -176,7 +176,7 @@ def _ensemble_sums(system: SystemSpec, h, x0s: np.ndarray, n: int, stream, marks
     s = np.zeros_like(x)
     marks = {int(m) for m in np.asarray(marks).reshape(-1)}
     recorded: dict[int, np.ndarray] = {}
-    for k in ensemble_steps(system, stream, n, x.shape[-1], (x,)):
+    for k in ensemble_steps(system, stream.blocks(n, x.shape[-1]), (x,)):
         if k in marks:
             recorded[k] = s.copy()
         if k < n:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import CIRCLE, coordinate_grid, distance
 from .measures import estimate_stationary
-from .systems import WORD_BUDGET, SystemSpec, ensemble_apply, ensemble_apply_many, ensemble_steps, word_levels
+from .systems import WORD_BUDGET, SystemSpec, ensemble_steps, word_levels
 from .util import ArgumentError, RefusalError, linear_fit, table_chunks, wilson_interval
 
 __all__ = [
@@ -132,7 +132,7 @@ def estimate_gamma(
     stream = system.word_stream(seed, _GAMMA_BASE)
     x = np.full(replicas, float(x0))
     ld = np.zeros(replicas)
-    for _ in ensemble_steps(system, stream, n, replicas, (x,), log_deriv=ld):
+    for _ in ensemble_steps(system, stream.blocks(n, replicas), (x,), log_deriv=ld):
         pass
     per = ld / n
     gamma_hat = float(per.mean())
@@ -186,9 +186,10 @@ def _fit_rates(epsilons, horizons, probs):
 def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_budget):
     """Shared engine: per horizon, exact word enumeration or MC, same streams.
 
-    ``stat_builder(rows, n)`` runs the words of an iterable of n symbol rows:
-    the levels of the word tree, or the stream's rows. Its states widen by
-    ``np.repeat`` whenever a row is wider than them, so one loop serves both.
+    ``stat_builder(blocks, n)`` runs the words of n symbol rows, given as the
+    ``(start, block)`` pairs that ``ensemble_steps`` takes: the levels of the
+    word tree, one row each, or the stream's blocks. Its states widen by
+    ``np.repeat`` whenever a block is wider than them, so one loop serves both.
     """
     ne, nh = len(epsilons), len(horizons)
     probs = np.zeros((ne, nh))
@@ -203,12 +204,12 @@ def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_bu
             levels = word_levels(system, n, budget=exact_budget)
             weights = np.ones(1)
 
-            def rows():
+            def blocks():
                 nonlocal weights
                 for srow, weights in levels:
-                    yield srow
+                    yield 0, srow[None]
 
-            stats, cens = stat_builder(rows(), n)
+            stats, cens = stat_builder(blocks(), n)
             exact[j] = True
             censored[j] = float(np.sum(weights[cens])) if cens is not None else 0.0
             stats_means[j] = float(np.sum(stats * weights))
@@ -220,7 +221,7 @@ def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_bu
                 ci_high[i, j] = p
         else:
             stream = system.word_stream(seed, _LD_BASE + j)
-            stats, cens = stat_builder(stream.rows(n, replicas), n)
+            stats, cens = stat_builder(stream.blocks(n, replicas), n)
             censored[j] = float(np.mean(cens)) if cens is not None else 0.0
             stats_means[j] = float(np.mean(stats))
             dev = stat_builder.deviation(stats)
@@ -235,7 +236,7 @@ def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_bu
 
 
 def _widen(arrays, width: int) -> tuple:
-    """Each word's states repeated for each of its children, once a row is wider."""
+    """Each word's states repeated for each of its children, once a block is wider."""
     size = arrays[0].size
     return tuple(np.repeat(a, width // size) for a in arrays) if width > size else arrays
 
@@ -248,11 +249,12 @@ class _DerivStat:
         self.x0 = float(x0)
         self.gamma_hat = float(gamma_hat)
 
-    def __call__(self, rows, n):
+    def __call__(self, blocks, n):
         x, ld = np.full(1, self.x0), np.zeros(1)
-        for row in rows:
-            x, ld = _widen((x, ld), row.size)
-            ensemble_apply(self.system, x, row, log_deriv=ld)
+        for block in blocks:
+            x, ld = _widen((x, ld), block[1].shape[1])
+            for _ in ensemble_steps(self.system, (block,), (x,), ld):
+                pass
         return ld / n, None
 
     def deviation(self, stats):
@@ -268,12 +270,13 @@ class _SyncStat:
         self.y = float(y)
         self.gamma_hat = float(gamma_hat)
 
-    def __call__(self, rows, n):
+    def __call__(self, blocks, n):
         av, bv = np.full(1, self.x), np.full(1, self.y)
         d0 = distance(self.system.space, av, bv)
-        for row in rows:
-            av, bv = _widen((av, bv), row.size)
-            ensemble_apply_many(self.system, (av, bv), row)
+        for block in blocks:
+            av, bv = _widen((av, bv), block[1].shape[1])
+            for _ in ensemble_steps(self.system, (block,), (av, bv)):
+                pass
         dn = distance(self.system.space, av, bv)
         cens = dn < CENSOR_FLOOR
         dn = np.maximum(dn, CENSOR_FLOOR)
@@ -425,7 +428,7 @@ def distortion_report(
     pts = np.repeat(np.stack(grids)[:, :, None], replicas, axis=2)  # (arcs, grid point, replica)
     ld = np.zeros_like(pts)
     spreads = np.empty((n_arcs, replicas, n))
-    for k in ensemble_steps(system, stream, n, replicas, (pts,), log_deriv=ld):
+    for k in ensemble_steps(system, stream.blocks(n, replicas), (pts,), log_deriv=ld):
         if k:
             spreads[:, :, k - 1] = ld.max(axis=1) - ld.min(axis=1)
     if circle:

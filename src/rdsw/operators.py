@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import CIRCLE, PROJECTIVE
-from .systems import SystemSpec, TabulatedMap, ensemble_apply, word_levels
+from .systems import SystemSpec, TabulatedMap, ensemble_apply, ensemble_steps, word_levels
 from .util import ArgumentError, RefusalError, fmt
 
 __all__ = [
@@ -387,8 +387,8 @@ def qn_identity_test(
     stream = system.word_stream(seed, _QN_BASE)
     symbols = stream.draw(n * replicas).reshape(n, replicas)
     mpos = np.full(replicas, y0)
-    for c in range(n - 1):
-        ensemble_apply(system, mpos, symbols[c])
+    for _ in ensemble_steps(system, ((0, symbols[: n - 1]),), (mpos,)):
+        pass
     vals = np.asarray(phi(symbols[n - 1], mpos), dtype=float)
     mc = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicas))

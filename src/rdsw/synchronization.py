@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CIRCLE, INTERVAL, PROJECTIVE, distance
-from .systems import SystemSpec, WordStream, _resolve_word, _start_state, ensemble_apply_many, ensemble_steps, iterate
+from .systems import SystemSpec, WordStream, _resolve_word, _start_state, ensemble_steps, iterate
 from .util import ArgumentError, RefusalError, linear_fit
 
 __all__ = [
@@ -144,7 +144,7 @@ def average_sync_sum(
     bv = np.full((replicas, *np.shape(b0)), b0)
     means = np.empty(n + 1)
     means[0] = distance(system.space, a0, b0) ** alpha
-    for k in ensemble_steps(system, stream, n, replicas, (av, bv)):
+    for k in ensemble_steps(system, stream.blocks(n, replicas), (av, bv)):
         if k:
             means[k] = float(np.mean(distance(system.space, av, bv) ** alpha))
     sums = np.cumsum(means)
@@ -184,39 +184,39 @@ def local_contraction_probe(
     qk = q_target ** np.arange(1, n + 1)
     ok = np.ones(replicas, dtype=bool)
     if system.space == PROJECTIVE:
-        cloud = _projective_ball(system, x, radius, 64)
-        flat = np.tile(cloud, (replicas, 1))
-        for step, row in enumerate(stream.rows(n, replicas)):
-            ensemble_apply_many(system, (flat,), np.repeat(row, cloud.shape[0]))
-            ok &= _cloud_diameter(flat.reshape(replicas, cloud.shape[0], -1)) <= qk[step]
-        return float(np.mean(ok))
-    xf = float(x)
-    circle = system.space == CIRCLE
-    if circle:
-        lo = np.full(replicas, (xf - radius) % 1.0)
-        hi = np.full(replicas, (xf + radius) % 1.0)
+        states = (np.repeat(_projective_ball(system, x, radius, 64)[:, None], replicas, axis=1),)
+    elif system.space == CIRCLE:
+        states = (np.full(replicas, (float(x) - radius) % 1.0), np.full(replicas, (float(x) + radius) % 1.0))
     else:
-        lo = np.full(replicas, max(0.0, xf - radius))
-        hi = np.full(replicas, min(1.0, xf + radius))
-    for k in ensemble_steps(system, stream, n, replicas, (lo, hi)):
+        states = (np.full(replicas, max(0.0, float(x) - radius)), np.full(replicas, min(1.0, float(x) + radius)))
+    for k in ensemble_steps(system, stream.blocks(n, replicas), states):
         if k:
-            diam = np.minimum((hi - lo) % 1.0, 0.5) if circle else distance(INTERVAL, lo, hi)
-            ok &= diam <= qk[k - 1]
+            ok &= _ball_diameter(system.space, *states) <= qk[k - 1]
     return float(np.mean(ok))
 
 
-def _cloud_diameter(pts: np.ndarray) -> np.ndarray:
-    """Per replica, the largest ``distance`` between two rows of ``pts`` (replicas, count, d).
+def _ball_diameter(space: str, *states) -> np.ndarray:
+    """Per replica, the diameter of the ball's image: of the arc from ``lo`` to
+    ``hi`` on the circle (at most 1/2) or the interval, of the (count, replicas,
+    d) cloud on projective space."""
+    if space == PROJECTIVE:
+        return _cloud_diameter(*states)
+    lo, hi = states
+    return np.minimum((hi - lo) % 1.0, 0.5) if space == CIRCLE else distance(INTERVAL, lo, hi)
 
-    Sweeps the rows k of the cloud: row k's distances to rows k+1..count-1
-    reduce into a running maximum, so a step holds O(replicas * count)
-    distances, not all replicas * count^2 pairs. ``distance`` is symmetric bit
-    for bit and 0 on the diagonal, so this is the all-pairs maximum bit for bit.
+
+def _cloud_diameter(pts: np.ndarray) -> np.ndarray:
+    """Per replica, the largest ``distance`` between two directions of ``pts`` (count, replicas, d).
+
+    Sweeps the directions k of the cloud: their distances to directions
+    k+1..count-1 reduce into a running maximum, so a step holds O(replicas *
+    count) distances, not all replicas * count^2 pairs. ``distance`` is
+    symmetric bit for bit and 0 on the diagonal, so this is the all-pairs
+    maximum bit for bit.
     """
-    q = np.ascontiguousarray(pts.transpose(1, 0, 2))
-    diam = np.zeros(q.shape[1])
-    for k in range(q.shape[0] - 1):
-        np.maximum(diam, distance(PROJECTIVE, q[k], q[k + 1 :]).max(axis=0), out=diam)
+    diam = np.zeros(pts.shape[1])
+    for k in range(pts.shape[0] - 1):
+        np.maximum(diam, distance(PROJECTIVE, pts[k], pts[k + 1 :]).max(axis=0), out=diam)
     return diam
 
 
@@ -264,7 +264,7 @@ def proximality_probe(
     ys = np.repeat(np.array([b for _, b in pair_grid]), replicas)
     best = np.full(p * replicas, np.inf)
     stream = system.word_stream(seed, _PROX_BASE)
-    for k in ensemble_steps(system, stream, horizon, p * replicas, (xs, ys)):
+    for k in ensemble_steps(system, stream.blocks(horizon, p * replicas), (xs, ys)):
         if k:
             np.minimum(best, distance(system.space, xs, ys), out=best)
     mins = best.reshape(p, replicas).min(axis=1)

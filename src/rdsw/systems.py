@@ -41,8 +41,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 WORD_BUDGET = 1 << 24
 MAX_MAPS = 127  # symbols are int8
-_CHUNK = 1 << 15  # states per pass of the ensemble step: keeps its temporaries cache-sized
-_GATHER = 1 << 14  # symbols per coefficient gather of ensemble_steps: keeps the gathered block small
+_GATHER = 1 << 14  # symbols per coefficient gather, and states per slice of a wider row, in ensemble_steps
 _ORBIT_BLOCK = 1 << 12  # symbols per orbit-kernel call of iterate: its list of floats stays a small transient
 _REALS = (int, float, np.integer, np.floating)
 _FLOAT_MAX = sys.float_info.max
@@ -103,7 +102,7 @@ class MapSpec:
     it writes the image there through ufunc ``out`` arguments in the same
     order of operations, after reading all that the derivative needs. The
     ``__call__``/``deriv`` defined here run it on the map's own row, and
-    ``ensemble_apply`` and ``ensemble_steps`` on the rows gathered by each
+    ``ensemble_steps``, the one ensemble step, on the rows gathered by each
     state's symbol, so all paths round alike. A family without a table
     (``_table`` None) defines its own ``__call__``/``deriv``; the ``_step``
     and ``_orbit`` defined here then step its ensembles and orbits through
@@ -502,7 +501,7 @@ def _bisect_interval_inverse(f, ts, a: float, b: float):
 
 
 class _Group:
-    """Maps that ``ensemble_apply`` steps together, and their evaluator.
+    """Maps that ``ensemble_steps`` steps together, and their evaluator.
 
     The evaluator is a family table (the class a map names in ``_table``) or
     a map without one; ``step`` and ``orbit`` are its ``_step`` and
@@ -599,25 +598,6 @@ class SystemSpec:
                     raise ValueError(f"maps[{i}]: {m!r} derivative changes sign on the check grid")
                 if np.min(np.abs(d)) < 1e-9:
                     raise ValueError(f"maps[{i}]: {m!r} derivative is not bounded away from zero")
-
-    def _select(self, srow: np.ndarray):
-        """Yield (states, symbols, group) for each group that srow uses, one
-        chunk of ``_CHUNK`` states at a time.
-
-        ``states`` indexes the states of the group: the whole chunk (a slice)
-        when one group holds all the maps, else their positions.
-        """
-        for lo in range(0, srow.size, _CHUNK):
-            chunk = slice(lo, lo + _CHUNK)
-            s = srow[chunk]
-            if len(self._groups) == 1:
-                yield chunk, s, self._groups[0]
-                continue
-            owner = self._group_of[s]
-            for g, group in enumerate(self._groups):
-                idx = np.flatnonzero(owner == g)
-                if idx.size:
-                    yield idx + lo, s[idx], group
 
     def _orbit(self, x: float, symbols: np.ndarray) -> list:
         """The points after each of ``symbols`` from ``x``, as floats (1-D spaces).
@@ -824,83 +804,83 @@ def _levels(probs: np.ndarray, n: int):
 
 
 def ensemble_apply(system: SystemSpec, xs: np.ndarray, srow: np.ndarray, log_deriv=None):
-    """Advance a vector of states one step under per-state symbols, in place.
-
-    Each family table gathers its coefficients by symbol and evaluates its
-    formula once over its states, chunk by chunk, with no mask when one
-    table holds every map; a map without a table steps its own states.
-    Elementwise arithmetic makes the result independent of the chunking and
-    grouping: it equals stepping each map's states alone. When ``log_deriv`` is
-    given it accumulates log |f'| evaluated before the move, so after n steps
-    it holds sum_{k<n} log |f'_{i_{k+1}}(X_k)|.
-    """
-    for states, s, group in system._select(srow):
-        xs[states], slope = group.step(xs[states], log_deriv is not None, *group.gather(s))
-        if log_deriv is not None:
-            log_deriv[states] += np.log(np.abs(slope))
+    """One step of ``ensemble_steps`` for the states ``xs`` under their symbols ``srow``, in place."""
+    for _ in ensemble_steps(system, ((0, srow[None]),), (xs,), log_deriv):
+        pass
 
 
 def ensemble_apply_many(system: SystemSpec, arrays, srow: np.ndarray):
-    """Advance several aligned state vectors under one shared symbol row."""
-    for states, s, group in system._select(srow):
-        row = group.gather(s)
-        for a in arrays:
-            a[states] = group.step(a[states], False, *row)[0]
+    """One step of ``ensemble_steps`` for several aligned state arrays under one shared symbol row."""
+    for _ in ensemble_steps(system, ((0, srow[None]),), tuple(arrays)):
+        pass
 
 
-def ensemble_steps(system: SystemSpec, stream: WordStream, n: int, width: int, states, log_deriv=None):
-    """Step ensembles in place along the (n, width) symbol matrix of ``stream``.
+def ensemble_steps(system: SystemSpec, blocks, states, log_deriv=None):
+    """Step ensembles in place along the symbol rows of ``blocks``.
 
-    A generator: it yields k, the number of steps taken so far, before each
-    step and once after the last (k = 0..n), so a caller reads its statistic
-    of the states at each yield. ``states`` is a tuple of arrays of shape
-    (..., width) on the circle and the interval, (..., width, d) on projective
-    space, C-contiguous when they have leading axes. Column j follows replica
-    j's word, so leading axes share one symbol row by broadcasting. ``log_deriv`` goes with a lone state array, has its
-    shape and accumulates log |f'| before each move as in ``ensemble_apply``.
+    ``blocks`` yields ``(start, block)`` pairs as ``WordStream.blocks`` does:
+    each block is an (m, width) int8 matrix of m successive steps. A
+    generator: it yields k, the number of steps taken so far, before each step
+    and once after the last, so a caller reads its statistic of the states at
+    each yield. ``states`` is a tuple of arrays of shape (..., width) on the
+    circle and the interval, (..., width, d) on projective space, C-contiguous
+    when they have leading axes. Column j follows the symbols in column j, so
+    leading axes share one symbol row. ``log_deriv`` goes with a lone state
+    array, has its shape and accumulates log |f'| evaluated before each move:
+    after n steps it holds sum_{k<n} log |f'_{i_{k+1}}(X_k)|.
 
-    When one coefficient table holds every map, its columns are gathered once
-    per sub-block of at most ``_GATHER`` symbols and its ``_step`` writes each
-    state array in place. The cap keeps the gathered columns, several times
-    the symbols' size, from doubling a block's memory: a whole ``blocks``
-    block of Moebius columns is 5 MB. Any other system makes each row's
-    ``ensemble_apply`` (one array) or ``ensemble_apply_many`` call, on the
-    arrays with their leading axes merged. Either way each state gets the
-    bits of the per-row loop, since the arithmetic is elementwise.
+    When one coefficient table holds every map, a row of at most ``_GATHER``
+    symbols is stepped whole: the table's columns are gathered once per
+    sub-block of at most ``_GATHER`` symbols, and ``_step`` writes each state
+    array in place. Any other row is stepped on the arrays with their leading
+    axes merged, ``_GATHER`` states at a time: in place through a basic slice
+    under one table, else through the index set of each group's states.
+    ``_GATHER`` so caps the gathered columns, several times the symbols' size
+    (a whole ``blocks`` block of Moebius columns is 5 MB, a 2^20-wide word
+    level's 40 MB). Each state gets the same bits however it is sliced or
+    grouped, since the arithmetic is elementwise.
     """
     groups = system._groups
-    if len(groups) > 1 or groups[0].columns is None:
-        yield from _row_steps(system, stream, n, width, states, log_deriv)
-        return
-    step, columns = groups[0].step, groups[0].columns
-    per = max(1, _GATHER // width)
+    table = groups[0] if len(groups) == 1 and groups[0].columns is not None else None
     slope = log_deriv is not None
     k = 0
-    for _, block in stream.blocks(n, width):
-        for lo in range(0, block.shape[0], per):
-            for row in zip(*columns.take(block[lo : lo + per], axis=1)):
-                yield k
-                for a in states:
-                    d = step(a, slope, *row, out=a)[1]
-                if slope:
-                    log_deriv += np.log(np.abs(d))
-                k += 1
-    yield k
-
-
-def _row_steps(system: SystemSpec, stream: WordStream, n: int, width: int, states, log_deriv):
-    """``ensemble_steps`` by one ``ensemble_apply`` or ``ensemble_apply_many``
-    call per row, on views of the arrays with their leading axes merged."""
-    lead = states[0].shape[: states[0].ndim - (2 if system.space == PROJECTIVE else 1)]
-    flat = [a.reshape(-1, *a.shape[len(lead) + 1 :]) for a in states]
-    ld = None if log_deriv is None else log_deriv.reshape(-1)
-    k = 0
-    for row in stream.rows(n, width):
-        yield k
-        srow = np.broadcast_to(row, (*lead, width)).reshape(-1)
-        if len(flat) == 1:
-            ensemble_apply(system, flat[0], srow, ld)
-        else:
-            ensemble_apply_many(system, flat, srow)
-        k += 1
+    for _, block in blocks:
+        width = block.shape[1]
+        if table is not None and width <= _GATHER:
+            per = _GATHER // max(1, width)
+            for lo in range(0, block.shape[0], per):
+                for row in zip(*table.columns.take(block[lo : lo + per], axis=1)):
+                    yield k
+                    for a in states:
+                        d = table.step(a, slope, *row, out=a)[1]
+                    if slope:
+                        log_deriv += np.log(np.abs(d))
+                    k += 1
+            continue
+        lead = states[0].shape[: states[0].ndim - (2 if system.space == PROJECTIVE else 1)]
+        flat = [a.reshape(-1, *a.shape[len(lead) + 1 :]) for a in states]
+        ld = log_deriv.reshape(-1) if slope else None
+        for srow in block:
+            yield k
+            srow = np.broadcast_to(srow, (*lead, width)).reshape(-1)
+            for lo in range(0, srow.size, _GATHER):
+                cut = slice(lo, lo + _GATHER)
+                if table is not None:
+                    row = table.gather(srow[cut])
+                    for a in flat:
+                        v = a[cut]
+                        d = table.step(v, slope, *row, out=v)[1]
+                    if slope:
+                        ld[cut] += np.log(np.abs(d))
+                    continue
+                owner = system._group_of[srow[cut]]
+                for g, group in enumerate(groups):
+                    idx = np.flatnonzero(owner == g) + lo
+                    if idx.size:
+                        row = group.gather(srow[idx])
+                        for a in flat:
+                            a[idx], d = group.step(a[idx], slope, *row)
+                        if slope:
+                            ld[idx] += np.log(np.abs(d))
+            k += 1
     yield k

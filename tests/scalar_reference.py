@@ -9,7 +9,7 @@ so that tests can pin ``__call__``, ``deriv`` and the ensemble step to it.
 ``row_apply`` and ``row_apply_many`` are the per-row ensemble steps that
 ``systems.ensemble_steps`` replaced, with ``select`` (once
 ``SystemSpec._select``) and ``_CHUNK``, bodies verbatim, so that tests can pin
-the driver's callers to the loops they ran before. Imported by test modules
+its callers to the loops they ran before. Imported by test modules
 only.
 """
 

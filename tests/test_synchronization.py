@@ -21,9 +21,8 @@ from rdsw.synchronization import (
     paired_orbit,
     proximality_probe,
 )
-from rdsw.systems import ensemble_apply_many
 from rdsw.util import ArgumentError, RefusalError
-from scalar_reference import scalar_fn
+from scalar_reference import row_apply_many, scalar_fn
 
 LOG2 = math.log(2.0)
 
@@ -207,7 +206,7 @@ def _reference_diameter_steps(system, radius, n, replicas, seed):
     cloud = _projective_ball(system, center, radius, 64)
     flat = np.tile(cloud, (replicas, 1))
     for row in system.word_stream(seed, _LCP_BASE).rows(n, replicas):
-        ensemble_apply_many(system, (flat,), np.repeat(row, 64))
+        row_apply_many(system, (flat,), np.repeat(row, 64))
         pts = flat.reshape(replicas, 64, -1)
         yield pts, distance(PROJECTIVE, pts[:, :, None, :], pts[:, None, :, :]).max(axis=(1, 2))
 
@@ -221,7 +220,7 @@ def test_probe_diameter_matches_full_gram_bitwise(sys, replicas):
     qk = q_target ** np.arange(1, n + 1)
     ok = np.ones(replicas, dtype=bool)
     for step, (pts, want) in enumerate(_reference_diameter_steps(sys, radius, n, replicas, seed=3)):
-        got = _cloud_diameter(pts)
+        got = _cloud_diameter(np.ascontiguousarray(pts.transpose(1, 0, 2)))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"{sys.name} step {step}"
         ok &= want <= qk[step]
     center = np.eye(sys.maps[0].dim)[0]

@@ -436,15 +436,15 @@ def test_numpy_step_matches_frozen_formulas_bitwise(family):
             c, k, w, _, phase = m.table_row()
             assert _same_bits(m.lift(x), x + c + k * np.sin(w * x + phase)), m
     sys = SystemSpec(maps, (1.0 / len(maps),) * len(maps))
-    width = 2 * systems._CHUNK + 11
+    width = 2 * systems._GATHER + 11
     xs, ld = rng.random(width), np.zeros(width)
     xs[:64] = -0.0
     pair = np.stack([xs, rng.random(width)])
     ref_xs, ref_ld, ref_pair = xs.copy(), ld.copy(), pair.copy()
     driven, driven_ld, driven_pair = xs.copy(), ld.copy(), pair.copy()
-    for _ in ensemble_steps(sys, sys.word_stream(5), 6, width, (driven,), log_deriv=driven_ld):
+    for _ in ensemble_steps(sys, sys.word_stream(5).blocks(6, width), (driven,), log_deriv=driven_ld):
         pass
-    for _ in ensemble_steps(sys, sys.word_stream(5), 6, width, (driven_pair[0], driven_pair[1])):
+    for _ in ensemble_steps(sys, sys.word_stream(5).blocks(6, width), (driven_pair[0], driven_pair[1])):
         pass
     formulas = [numpy_formula(m) for m in maps]
     for srow in sys.word_stream(5).rows(6, width):
@@ -462,14 +462,16 @@ def test_numpy_step_matches_frozen_formulas_bitwise(family):
 
 def test_affine_orbit_keeps_negative_zero_like_the_ensemble_step():
     """With b = -0.0 the image of -0.0 is -0.0; the orbit kernel's clamp keeps
-    that sign as ``_step`` does, so ``iterate``, ``__call__`` and the ensemble
-    step agree bit for bit from every start."""
+    that sign as ``_step`` does, so ``iterate``, ``__call__``, ``ensemble_apply``
+    and ``ensemble_steps`` agree bit for bit from every start."""
     sys = SystemSpec([AffineMap(0.5, -0.0), AffineMap(0.5, 0.5)], [0.5, 0.5])
     assert _same_bits(iterate(sys, -0.0, [0, 0], 2), [-0.0, -0.0, -0.0])
     starts = np.array([-0.0, 0.0, 0.3, -0.4, 1.25, 1.0])
     word = np.array([0, 0, 1, 0, 0, 0, 1, 1, 0], dtype=np.int8)
-    xs = starts.copy()
+    xs, driven = starts.copy(), starts.copy()
     orbits = [iterate(sys, x0, word, word.size) for x0 in starts]
+    block = np.repeat(word[:, None], starts.size, axis=1)
+    seen = [driven.copy() for _ in ensemble_steps(sys, [(0, block)], (driven,))]
     for k, s in enumerate(word.tolist(), 1):
         ensemble_apply(sys, xs, np.full(starts.size, s, dtype=np.int8))
         for x0, orbit in zip(starts, orbits):
@@ -477,7 +479,7 @@ def test_affine_orbit_keeps_negative_zero_like_the_ensemble_step():
             for t in word[:k].tolist():
                 called = sys.maps[t](called)
             assert _same_bits(orbit[k], called), (x0, k)
-        assert _same_bits([orbit[k] for orbit in orbits], xs), k
+        assert _same_bits([orbit[k] for orbit in orbits], xs) and _same_bits(seen[k], xs), k
 
 
 def test_symbol_width_is_bounded():

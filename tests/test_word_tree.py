@@ -27,6 +27,7 @@ from rdsw.systems import (
     word_levels,
     word_matrix,
 )
+from scalar_reference import row_apply, row_apply_many
 
 X0 = 0.3
 PAIR = (0.2, 0.7)
@@ -71,8 +72,8 @@ def _matrix_route(system, n: int, x0: float, pair: tuple) -> dict:
     d0 = distance(system.space, a, b)
     for k in range(n):
         col = words[:, k].copy()
-        ensemble_apply(system, x, col, log_deriv=ld)
-        ensemble_apply_many(system, (a, b), col)
+        row_apply(system, x, col, log_deriv=ld)
+        row_apply_many(system, (a, b), col)
     dn = distance(system.space, a, b)
     cens = dn < CENSOR_FLOOR
     sync = (np.log(np.maximum(dn, CENSOR_FLOOR)) - np.log(d0)) / n
@@ -85,8 +86,8 @@ def _tree_route(system, n: int, x0: float, pair: tuple) -> dict:
         x, ld, a, b = (np.repeat(v, system.n_maps) for v in (x, ld, a, b))
         ensemble_apply(system, x, srow, log_deriv=ld)
         ensemble_apply_many(system, (a, b), srow)
-    deriv, _ = _DerivStat(system, x0, 0.0)((srow for srow, _ in word_levels(system, n)), n)
-    sync, cens = _SyncStat(system, *pair, 0.0)((srow for srow, _ in word_levels(system, n)), n)
+    deriv, _ = _DerivStat(system, x0, 0.0)(((0, srow[None]) for srow, _ in word_levels(system, n)), n)
+    sync, cens = _SyncStat(system, *pair, 0.0)(((0, srow[None]) for srow, _ in word_levels(system, n)), n)
     return {"x": x, "ld": ld, "a": a, "b": b, "weights": weights, "deriv": deriv, "sync": sync, "cens": cens}
 
 
@@ -140,24 +141,25 @@ def test_qn_kernel_matches_word_matrix(idx):
     words = word_matrix(sys, n)
     pos = np.full(words.shape[0], float(sys.maps[j](x)))
     for c in range(n - 1):
-        ensemble_apply(sys, pos, words[:, c])
+        row_apply(sys, pos, words[:, c])
     want = float(np.sum(word_weights(sys, words) * np.asarray(phi(words[:, n - 1], pos), dtype=float)))
     got = qn_identity_test(sys, phi, j, x, n, replicas=16, seed=idx).kernel_value
     assert _bits(got) == _bits(want)
 
 
-def _levels_rows(system, n: int, out: dict):
-    """The rows of ``word_levels``; ``out["weights"]`` ends as the last level's weights."""
+def _level_blocks(system, n: int, out: dict):
+    """The levels of ``word_levels`` as one-row blocks; ``out["weights"]`` ends
+    as the last level's weights."""
     for srow, out["weights"] in word_levels(system, n):
-        yield srow
+        yield 0, srow[None]
 
 
 def _distortion_gaps(system, n: int, x: float, y: float):
     """n |sync - deriv| per length-n word (the derivative statistic from x, the
     pair statistic from (x, y)) and the words' weights."""
     out = {}
-    deriv, _ = _DerivStat(system, x, 0.0)(_levels_rows(system, n, out), n)
-    sync, _ = _SyncStat(system, x, y, 0.0)(_levels_rows(system, n, {}), n)
+    deriv, _ = _DerivStat(system, x, 0.0)(_level_blocks(system, n, out), n)
+    sync, _ = _SyncStat(system, x, y, 0.0)(_level_blocks(system, n, {}), n)
     return n * np.abs(sync - deriv), out["weights"]
 
 
