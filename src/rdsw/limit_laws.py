@@ -16,7 +16,7 @@ from scipy.special import ndtr
 from .geometry import CIRCLE, INTERVAL, distance
 from .measures import EmpiricalMeasure, estimate_stationary, resample
 from .systems import SystemSpec, WordStream, _finite_array, ensemble_steps, iterate
-from .util import ArgumentError, RefusalError
+from .util import ArgumentError, RefusalError, batch_stderr
 
 __all__ = [
     "Observable",
@@ -206,10 +206,7 @@ def slln_check(
     checkpoints = np.unique(np.geomspace(10, n, 24).astype(np.int64))
     stat = estimate_stationary(system, burn_in=1000, samples=200_000, seed=seed)
     nu_hat = stat.mean_of(h)
-    vals = np.asarray(h(stat.atoms), dtype=float)
-    nb = 32
-    bm = vals[: vals.size - vals.size % nb].reshape(nb, -1).mean(axis=1)
-    se_nu = float(bm.std(ddof=1) / math.sqrt(nb))
+    se_nu = batch_stderr(np.asarray(h(stat.atoms), dtype=float))
     # the orbit's head is bit for bit the stationary estimate estimate_sigma2 would draw
     head = EmpiricalMeasure(stat.atoms[:_SIGMA_STATIONARY], None, system.space)
     sigma2_hat = _sigma2_from(system, h, head, n=4096, replicas=64, seed=seed).sigma2
@@ -338,6 +335,8 @@ def lil_statistic(
     """
     if n_max < LIL_MIN_N:
         raise ArgumentError(f"n_max: must be at least {LIL_MIN_N}, got {n_max}")
+    if replicas < 2:
+        raise ArgumentError(f"replicas: must be at least 2, got {replicas}")
     checkpoints = np.unique(np.geomspace(100, n_max, 48).astype(np.int64))
     stream = system.word_stream(seed, _LIL_BASE)
     x0s = np.full(replicas, float(x0))

@@ -3,9 +3,9 @@
 The deviation statistic at horizon n is the word average of log |(f^n)'|
 (equivalently log of the pair-distance ratio in the sync variant); exact
 probabilities come from full word enumeration when N^n fits the budget,
-otherwise Monte Carlo with 99% Wilson bands. Both curve builders share their
-per-horizon streams and word order, which is what makes their tables
-comparable entry by entry.
+otherwise Monte Carlo with 99% Wilson bands. Both curves come from one
+builder, on the same per-horizon streams and word order, which is what makes
+their tables comparable entry by entry.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .geometry import CIRCLE, coordinate_grid, distance
 from .measures import estimate_stationary
-from .systems import WORD_BUDGET, SystemSpec, ensemble_steps, word_levels
-from .util import ArgumentError, RefusalError, linear_fit, table_chunks, wilson_interval
+from .systems import WORD_BUDGET, SystemSpec, _mean_log_deriv, _require_derivatives, ensemble_steps, word_levels
+from .util import ArgumentError, batch_stderr, linear_fit, table_chunks, wilson_interval
 
 __all__ = [
     "GammaEstimate",
@@ -38,7 +38,7 @@ CENSOR_FLOOR = 1e-300
 
 _GAMMA_BASE = 5 << 16
 _DIST_BASE = (5 << 16) | 4
-_LD_BASE = (5 << 16) | 8  # + horizon index, shared by both curve builders
+_LD_BASE = (5 << 16) | 8  # + horizon index, shared by both curves
 
 
 @dataclass(frozen=True)
@@ -127,24 +127,14 @@ def estimate_gamma(
         raise ArgumentError(f"n: must be positive, got {n}")
     if replicas < 2:
         raise ArgumentError(f"replicas: must be at least 2, got {replicas}")
-    if not all(m.has_derivative for m in system.maps):
-        raise RefusalError("estimate_gamma needs derivative support for every map")
-    stream = system.word_stream(seed, _GAMMA_BASE)
-    x = np.full(replicas, float(x0))
-    ld = np.zeros(replicas)
-    for _ in ensemble_steps(system, stream.blocks(n, replicas), (x,), log_deriv=ld):
-        pass
-    per = ld / n
+    _require_derivatives(system, "estimate_gamma")
+    per, _ = _deriv_stat(system, x0, system.word_stream(seed, _GAMMA_BASE).blocks(n, replicas), n)
     gamma_hat = float(per.mean())
     stderr = float(per.std(ddof=1) / math.sqrt(replicas))
     stat = estimate_stationary(system, burn_in=1000, samples=100_000, seed=seed)
-    g = np.zeros(stat.n_atoms)
-    for p, m in zip(system.probs, system.maps):
-        g += float(p) * np.log(np.abs(np.asarray(m.deriv(stat.atoms), dtype=float)))
+    g = _mean_log_deriv(system, stat.atoms)
     one_step = float(np.sum(g * stat.weights))
-    nb = 32
-    bm = g[: g.size - g.size % nb].reshape(nb, -1).mean(axis=1)
-    one_se = float(bm.std(ddof=1) / math.sqrt(nb))
+    one_se = batch_stderr(g)
     tol = 3.0 * (stderr + one_se) + 64.0 * np.finfo(float).eps * max(1.0, abs(gamma_hat))
     return GammaEstimate(gamma_hat, stderr, one_step, one_se, bool(abs(gamma_hat - one_step) <= tol))
 
@@ -152,12 +142,6 @@ def estimate_gamma(
 def default_epsilons(gamma_hat: float) -> np.ndarray:
     """The standard ladder 0.05|gamma| .. 0.5|gamma| in ten steps."""
     return np.linspace(0.05, 0.5, 10) * abs(gamma_hat)
-
-
-def _resolve_gamma(system, x0, seed, gamma_hat):
-    if gamma_hat is not None:
-        return float(gamma_hat)
-    return estimate_gamma(system, n=2048, replicas=64, x0=x0, seed=seed).gamma_hat
 
 
 def _fit_rates(epsilons, horizons, probs):
@@ -183,115 +167,69 @@ def _fit_rates(epsilons, horizons, probs):
     return rates, float(h_hat), float(h_r2)
 
 
-def _ld_table(system, epsilons, horizons, replicas, seed, stat_builder, exact_budget):
-    """Shared engine: per horizon, exact word enumeration or MC, same streams.
-
-    ``stat_builder(blocks, n)`` runs the words of n symbol rows, given as the
-    ``(start, block)`` pairs that ``ensemble_steps`` takes: the levels of the
-    word tree, one row each, or the stream's blocks. Its states widen by
-    ``np.repeat`` whenever a block is wider than them, so one loop serves both.
-    """
-    ne, nh = len(epsilons), len(horizons)
-    probs = np.zeros((ne, nh))
-    ci_low = np.zeros((ne, nh))
-    ci_high = np.zeros((ne, nh))
-    exact = np.zeros(nh, dtype=bool)
-    censored = np.zeros(nh)
-    stats_means = np.zeros(nh)
-    for j, n in enumerate(horizons):
-        n = int(n)
-        if system.n_maps**n <= exact_budget:
-            levels = word_levels(system, n, budget=exact_budget)
-            weights = np.ones(1)
-
-            def blocks():
-                nonlocal weights
-                for srow, weights in levels:
-                    yield 0, srow[None]
-
-            stats, cens = stat_builder(blocks(), n)
-            exact[j] = True
-            censored[j] = float(np.sum(weights[cens])) if cens is not None else 0.0
-            stats_means[j] = float(np.sum(stats * weights))
-            dev = stat_builder.deviation(stats)
-            for i, eps in enumerate(epsilons):
-                p = float(np.sum(weights[dev > eps]))
-                probs[i, j] = p
-                ci_low[i, j] = p
-                ci_high[i, j] = p
-        else:
-            stream = system.word_stream(seed, _LD_BASE + j)
-            stats, cens = stat_builder(stream.blocks(n, replicas), n)
-            censored[j] = float(np.mean(cens)) if cens is not None else 0.0
-            stats_means[j] = float(np.mean(stats))
-            dev = stat_builder.deviation(stats)
-            for i, eps in enumerate(epsilons):
-                count = int(np.sum(dev > eps))
-                p = count / replicas
-                lo, hi = wilson_interval(count, replicas)
-                probs[i, j] = p
-                ci_low[i, j] = lo
-                ci_high[i, j] = hi
-    return probs, ci_low, ci_high, exact, censored, stats_means
-
-
 def _widen(arrays, width: int) -> tuple:
     """Each word's states repeated for each of its children, once a block is wider."""
     size = arrays[0].size
     return tuple(np.repeat(a, width // size) for a in arrays) if width > size else arrays
 
 
-class _DerivStat:
-    """Word statistic: (1/n) sum of log |f'| along the orbit from x0."""
+def _deriv_stat(system, x0, blocks, n):
+    """(1/n) log |(f^n)'(x0)| per word, and no censor mask.
 
-    def __init__(self, system, x0, gamma_hat):
-        self.system = system
-        self.x0 = float(x0)
-        self.gamma_hat = float(gamma_hat)
-
-    def __call__(self, blocks, n):
-        x, ld = np.full(1, self.x0), np.zeros(1)
-        for block in blocks:
-            x, ld = _widen((x, ld), block[1].shape[1])
-            for _ in ensemble_steps(self.system, (block,), (x,), ld):
-                pass
-        return ld / n, None
-
-    def deviation(self, stats):
-        return np.abs(stats - self.gamma_hat)
+    ``blocks`` yields the ``(start, block)`` pairs that ``ensemble_steps``
+    takes: the levels of the word tree, one row each, or a stream's blocks.
+    The states widen by ``_widen`` whenever a block is wider than them, so
+    one loop serves both.
+    """
+    x, ld = np.full(1, float(x0)), np.zeros(1)
+    for block in blocks:
+        x, ld = _widen((x, ld), block[1].shape[1])
+        for _ in ensemble_steps(system, (block,), (x,), ld):
+            pass
+    return ld / n, None
 
 
-class _SyncStat:
-    """Word statistic: (1/n) log of the pair-distance ratio, censored at 1e-300."""
-
-    def __init__(self, system, x, y, gamma_hat):
-        self.system = system
-        self.x = float(x)
-        self.y = float(y)
-        self.gamma_hat = float(gamma_hat)
-
-    def __call__(self, blocks, n):
-        av, bv = np.full(1, self.x), np.full(1, self.y)
-        d0 = distance(self.system.space, av, bv)
-        for block in blocks:
-            av, bv = _widen((av, bv), block[1].shape[1])
-            for _ in ensemble_steps(self.system, (block,), (av, bv)):
-                pass
-        dn = distance(self.system.space, av, bv)
-        cens = dn < CENSOR_FLOOR
-        dn = np.maximum(dn, CENSOR_FLOOR)
-        return (np.log(dn) - np.log(d0)) / n, cens
-
-    def deviation(self, stats):
-        return np.abs(stats - self.gamma_hat)
+def _sync_stat(system, x, y, blocks, n):
+    """(1/n) log of the pair-distance ratio per word, with distances censored
+    at CENSOR_FLOOR, and the mask of the censored words; ``blocks`` as for
+    ``_deriv_stat``."""
+    av, bv = np.full(1, float(x)), np.full(1, float(y))
+    d0 = distance(system.space, av, bv)
+    for block in blocks:
+        av, bv = _widen((av, bv), block[1].shape[1])
+        for _ in ensemble_steps(system, (block,), (av, bv)):
+            pass
+    dn = distance(system.space, av, bv)
+    cens = dn < CENSOR_FLOOR
+    dn = np.maximum(dn, CENSOR_FLOOR)
+    return (np.log(dn) - np.log(d0)) / n, cens
 
 
-def _check_exact_budget(exact_budget: int) -> None:
+def _check_pair(system, x, y) -> None:
+    if distance(system.space, x, y) == 0.0:
+        raise ArgumentError(f"y: must be a point other than x = {float(x)!r}, got {float(y)!r}")
+
+
+def _ld_gamma(system, x0, seed, gamma_hat, exact_budget, caller=None) -> float:
+    """Both curves' prologue: the exact-budget check, the derivative refusal
+    in ``caller``'s name when one is given, then gamma_hat, estimated from
+    x0 when it is None."""
     if exact_budget > WORD_BUDGET:
         raise ArgumentError(f"exact_budget: at most WORD_BUDGET = {WORD_BUDGET} words, got {exact_budget}")
+    if caller is not None:
+        _require_derivatives(system, caller)
+    if gamma_hat is not None:
+        return float(gamma_hat)
+    return estimate_gamma(system, n=2048, replicas=64, x0=x0, seed=seed).gamma_hat
 
 
-def _build_curve(system, builder, epsilons, horizons, replicas, seed, gamma_hat, exact_budget):
+def _ld_curve(system, stat, starts, epsilons, horizons, replicas, seed, gamma_hat, exact_budget):
+    """The curve of ``stat(system, *starts, blocks, n)`` around gamma_hat.
+
+    Per horizon n: the levels of the word tree when N^n fits exact_budget
+    (each cell the weight of the deviating words), else the replicas of the
+    horizon's own stream (Wilson bands); both curves share these streams.
+    """
     if epsilons is None:
         epsilons = default_epsilons(gamma_hat)
         if not np.all(epsilons > 0.0):
@@ -305,16 +243,39 @@ def _build_curve(system, builder, epsilons, horizons, replicas, seed, gamma_hat,
     horizons = np.asarray(DEFAULT_HORIZONS if horizons is None else horizons, dtype=np.int64)
     if horizons.ndim != 1 or horizons.size == 0 or np.any(horizons < 1):
         raise ArgumentError("horizons: must be a nonempty 1-D list of positive integers")
-    probs, lo, hi, exact, censored, stat_means = _ld_table(
-        system, epsilons, horizons, replicas, seed, builder, exact_budget
-    )
+    ne, nh = len(epsilons), len(horizons)
+    probs = np.zeros((ne, nh))
+    lo = np.zeros((ne, nh))
+    hi = np.zeros((ne, nh))
+    exact = np.zeros(nh, dtype=bool)
+    censored = np.zeros(nh)
+    means = np.zeros(nh)
+    for j, n in enumerate(horizons.tolist()):
+        exact[j] = system.n_maps**n <= exact_budget
+        if exact[j]:
+            last = {}  # the levels stream through the statistic, which leaves the last one's weights here
+            levels = word_levels(system, n, budget=exact_budget)
+            stats, cens = stat(system, *starts, ((0, srow[None]) for srow, last["w"] in levels), n)
+        else:
+            stats, cens = stat(system, *starts, system.word_stream(seed, _LD_BASE + j).blocks(n, replicas), n)
+        dev = np.abs(stats - gamma_hat)
+        if exact[j]:
+            w = last["w"]
+            censored[j] = float(np.sum(w[cens])) if cens is not None else 0.0
+            means[j] = float(np.sum(stats * w))
+            for i, eps in enumerate(epsilons):
+                probs[i, j] = lo[i, j] = hi[i, j] = float(np.sum(w[dev > eps]))
+        else:
+            censored[j] = float(np.mean(cens)) if cens is not None else 0.0
+            means[j] = float(np.mean(stats))
+            for i, eps in enumerate(epsilons):
+                count = int(np.sum(dev > eps))
+                probs[i, j] = count / replicas
+                lo[i, j], hi[i, j] = wilson_interval(count, replicas)
     rates, h_hat, h_r2 = _fit_rates(epsilons, horizons, probs)
     flagged = censored > 0.5
-    usable = ~flagged
-    gap = math.nan
-    if usable.any():
-        top = int(np.nonzero(usable)[0][-1])
-        gap = abs(stat_means[top] - gamma_hat)
+    usable = np.nonzero(~flagged)[0]
+    gap = abs(means[usable[-1]] - gamma_hat) if usable.size else math.nan
     return LDCurve(
         epsilons,
         horizons,
@@ -350,12 +311,8 @@ def ld_curve(
     (otherwise a seeded internal estimate is used). Epsilons default to the
     0.05..0.5 |gamma| ladder, which needs gamma != 0.
     """
-    _check_exact_budget(exact_budget)
-    if not all(m.has_derivative for m in system.maps):
-        raise RefusalError("ld_curve needs derivative support for every map")
-    g = _resolve_gamma(system, x0, seed, gamma_hat)
-    builder = _DerivStat(system, x0, g)
-    return _build_curve(system, builder, epsilons, horizons, replicas, seed, g, exact_budget)
+    g = _ld_gamma(system, x0, seed, gamma_hat, exact_budget, "ld_curve")
+    return _ld_curve(system, _deriv_stat, (x0,), epsilons, horizons, replicas, seed, g, exact_budget)
 
 
 def sync_ld_curve(
@@ -378,12 +335,9 @@ def sync_ld_curve(
     report also carries the gap between the mean statistic at the largest
     usable horizon and gamma_hat (the first-assertion check).
     """
-    _check_exact_budget(exact_budget)
-    g = _resolve_gamma(system, x, seed, gamma_hat)  # refuses a system without derivatives, projective ones included
-    if distance(system.space, x, y) == 0.0:
-        raise ArgumentError(f"y: must be a point other than x = {float(x)!r}, got {float(y)!r}")
-    builder = _SyncStat(system, x, y, g)
-    return _build_curve(system, builder, epsilons, horizons, replicas, seed, g, exact_budget)
+    g = _ld_gamma(system, x, seed, gamma_hat, exact_budget)  # estimate_gamma refuses a system without derivatives, projective ones included
+    _check_pair(system, x, y)
+    return _ld_curve(system, _sync_stat, (x, y), epsilons, horizons, replicas, seed, g, exact_budget)
 
 
 def distortion_report(
@@ -405,10 +359,8 @@ def distortion_report(
     contracted (smaller final length; ties to the shorter initial arc) is
     reported, matching the orientation convention.
     """
-    if not all(m.has_derivative for m in system.maps):
-        raise RefusalError("distortion_report needs derivative support for every map")
-    if distance(system.space, x, y) == 0.0:
-        raise ArgumentError(f"y: must be a point other than x = {float(x)!r}, got {float(y)!r}")
+    _require_derivatives(system, "distortion_report")
+    _check_pair(system, x, y)
     deltas = np.geomspace(1e-4, 0.25, 8)
     omega = _omega_grid(system, deltas)
     circle = system.space == CIRCLE

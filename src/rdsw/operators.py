@@ -17,7 +17,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import CIRCLE, PROJECTIVE
-from .systems import SystemSpec, TabulatedMap, ensemble_apply, ensemble_steps, word_levels
+from .systems import (
+    SystemSpec,
+    TabulatedMap,
+    _mean_log_deriv,
+    _require_derivatives,
+    ensemble_apply,
+    ensemble_steps,
+    word_levels,
+)
 from .util import ArgumentError, RefusalError, fmt
 
 __all__ = [
@@ -213,7 +221,7 @@ def _map_overlaps(m, k: int, space: str):
             f"non-monotone tabulated map: Ulam overlaps use {QUAD_SAMPLES}-sample "
             "quadrature instead of exact endpoint preimages",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return _quadrature_matrix(m, k, space), True
     if space == CIRCLE:
@@ -221,6 +229,21 @@ def _map_overlaps(m, k: int, space: str):
     else:
         pb, pe, cols = _pieces_interval(m, k)
     return _overlap_matrix(pb, pe, cols, k), False
+
+
+def _ulam_overlaps(system: SystemSpec, k_cells: int):
+    """Both Ulam builders' prologue: each map's overlap matrix, and the
+    indices of the maps whose overlaps needed quadrature."""
+    _check_cells(k_cells)
+    if system.space == PROJECTIVE:
+        raise RefusalError("Ulam discretization is defined for 1-D phase spaces")
+    ts, quad = [], []
+    for i, m in enumerate(system.maps):
+        t, used_quad = _map_overlaps(m, k_cells, system.space)
+        ts.append(t)
+        if used_quad:
+            quad.append(i)
+    return ts, tuple(quad)
 
 
 def _validate_rows(mat: sp.csr_matrix, label: str):
@@ -238,22 +261,13 @@ def build_transfer_ulam(system: SystemSpec, k_cells: int) -> UlamOperator:
     Entry (a, b) = sum_i p_i |C_a intersect f_i^{-1}(C_b)| / |C_a|, with the
     overlaps exact for monotone maps via endpoint preimages.
     """
-    _check_cells(k_cells)
-    if system.space == PROJECTIVE:
-        raise RefusalError("Ulam discretization is defined for 1-D phase spaces")
-    mats = []
-    quad = []
-    for idx, (p, m) in enumerate(zip(system.probs, system.maps)):
-        t, used_quad = _map_overlaps(m, k_cells, system.space)
-        mats.append(float(p) * t)
-        if used_quad:
-            quad.append(idx)
-    total = mats[0]
-    for t in mats[1:]:
-        total = total + t
+    ts, quad = _ulam_overlaps(system, k_cells)
+    total = float(system.probs[0]) * ts[0]
+    for p, t in zip(system.probs[1:], ts[1:]):
+        total = total + float(p) * t
     total = total.tocsr()
     _validate_rows(total, "transfer operator")
-    return UlamOperator(total, k_cells, system.space, "transfer", 1, tuple(quad))
+    return UlamOperator(total, k_cells, system.space, "transfer", 1, quad)
 
 
 def build_laplace_markov(system: SystemSpec, k_cells: int) -> UlamOperator:
@@ -262,21 +276,11 @@ def build_laplace_markov(system: SystemSpec, k_cells: int) -> UlamOperator:
     Index (j, a) -> (i, b) carries weight p_i times the exact overlap of f_j
     from cell a to cell b; states are ordered symbol-major (j * k + a).
     """
-    _check_cells(k_cells)
-    if system.space == PROJECTIVE:
-        raise RefusalError("Ulam discretization is defined for 1-D phase spaces")
-    n = system.n_maps
+    ts, quad = _ulam_overlaps(system, k_cells)
     probs = [float(p) for p in system.probs]
-    quad = []
-    blocks = []
-    for j, m in enumerate(system.maps):
-        t, used_quad = _map_overlaps(m, k_cells, system.space)
-        if used_quad:
-            quad.append(j)
-        blocks.append([probs[i] * t for i in range(n)])
-    q = sp.bmat(blocks, format="csr")
+    q = sp.bmat([[p * t for p in probs] for t in ts], format="csr")
     _validate_rows(q, "laplace-markov operator")
-    return UlamOperator(q, k_cells, system.space, "laplace_markov", n, tuple(quad))
+    return UlamOperator(q, k_cells, system.space, "laplace_markov", system.n_maps, quad)
 
 
 def leading_eigen(op: UlamOperator) -> LeadingEigen:
@@ -409,13 +413,8 @@ def log_deriv_integral(system: SystemSpec, k_cells: int = 4096) -> float:
     transfer matrix, the inner integral is the probability-weighted
     log-derivative at cell midpoints.
     """
-    if not all(m.has_derivative for m in system.maps):
-        raise RefusalError("log-derivative integral needs derivative support")
+    _require_derivatives(system, "log_deriv_integral")
     op = build_transfer_ulam(system, k_cells)
     le = leading_eigen(op)
     cellw = le.weights.reshape(op.blocks, op.k_cells).sum(axis=0)
-    mids = op.midpoints()
-    g = np.zeros(op.k_cells)
-    for p, m in zip(system.probs, system.maps):
-        g += float(p) * np.log(np.abs(np.asarray(m.deriv(mids), dtype=float)))
-    return float(np.sum(cellw * g))
+    return float(np.sum(cellw * _mean_log_deriv(system, op.midpoints())))

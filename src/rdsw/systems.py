@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CIRCLE, INTERVAL, PROJECTIVE, coordinate_grid, mod1
-from .util import BudgetExceededError
+from .util import BudgetExceededError, RefusalError
 
 __all__ = [
     "MapSpec",
@@ -630,6 +630,20 @@ class SystemSpec:
     def __repr__(self) -> str:
         label = self.name or "system"
         return f"SystemSpec<{label}: {self.n_maps} maps on {self.space}>"
+
+
+def _require_derivatives(system: SystemSpec, caller: str) -> None:
+    """Refuse, naming ``caller``, a system with a map that has no derivative."""
+    if not all(m.has_derivative for m in system.maps):
+        raise RefusalError(f"{caller} needs derivative support for every map")
+
+
+def _mean_log_deriv(system: SystemSpec, points: np.ndarray) -> np.ndarray:
+    """sum_i p_i log |f_i'| at each of the 1-D ``points``, summed in map order."""
+    g = np.zeros(len(points))
+    for p, m in zip(system.probs, system.maps):
+        g += float(p) * np.log(np.abs(np.asarray(m.deriv(points), dtype=float)))
+    return g
 
 
 _M64 = 1 << 64

@@ -17,6 +17,7 @@ __all__ = [
     "fmt",
     "table_chunks",
     "wilson_interval",
+    "batch_stderr",
     "linear_fit",
     "parallel_map",
     "weighted_median",
@@ -124,6 +125,18 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     # the division by denom can round the endpoints past p at 0 or all
     # successes; clamp so the interval always contains the point estimate
     return min(p, max(0.0, center - half)), max(p, min(1.0, center + half))
+
+
+_BATCHES = 32
+
+
+def batch_stderr(values: np.ndarray) -> float:
+    """Batch-means standard error of the mean of the 1-D ``values``: the spread
+    of the means of ``_BATCHES`` equal consecutive batches, over the square
+    root of their count. The last ``values.size % _BATCHES`` values are left out.
+    """
+    bm = values[: values.size - values.size % _BATCHES].reshape(_BATCHES, -1).mean(axis=1)
+    return float(bm.std(ddof=1) / math.sqrt(_BATCHES))
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:

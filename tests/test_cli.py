@@ -236,6 +236,10 @@ _PROJECTIVE_PLANE = {
             "config error: params.n: must be at least 10000 for the lil law, got 100",
         ),
         (
+            {"command": "limits", "system": "binary_affine", "params": {"law": "lil", "n": 10000, "replicas": 1}},
+            "config error: params.replicas: must be at least 2, got 1",
+        ),
+        (
             {"command": "limits", "system": "binary_affine", "params": {"law": "slln", "n": 9}},
             "config error: params.n: must be at least 10, the first checkpoint, got 9",
         ),
@@ -311,6 +315,7 @@ _PROJECTIVE_PLANE = {
         "sigma2-n",
         "sigma2-replicas",
         "lil-n",
+        "lil-replicas",
         "slln-n",
         "sync-average-replicas",
         "sync-average-alpha",

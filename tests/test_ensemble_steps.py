@@ -186,7 +186,7 @@ def _frozen_widen(arrays, width):
 
 
 def _frozen_deriv_stat(system, x0, rows, n):
-    """``_DerivStat`` over symbol rows: word-tree levels or a stream's rows."""
+    """``_deriv_stat`` over symbol rows: word-tree levels or a stream's rows."""
     x, ld = np.full(1, float(x0)), np.zeros(1)
     for row in rows:
         x, ld = _frozen_widen((x, ld), row.size)
@@ -195,7 +195,7 @@ def _frozen_deriv_stat(system, x0, rows, n):
 
 
 def _frozen_sync_stat(system, x, y, rows, n):
-    """``_SyncStat`` over symbol rows: the statistic and its censor mask."""
+    """``_sync_stat`` over symbol rows: the statistic and its censor mask."""
     av, bv = np.full(1, float(x)), np.full(1, float(y))
     d0 = distance(system.space, av, bv)
     for row in rows:
@@ -340,8 +340,8 @@ def test_ld_monte_carlo_horizon_matches_frozen_loop(name):
     stream = sys.word_stream(12, lyapunov._LD_BASE)
     deriv = _frozen_deriv_stat(sys, x, stream.rows(n, replicas), n)
     sync, cens = _frozen_sync_stat(sys, x, y, stream.rows(n, replicas), n)
-    assert _same(lyapunov._DerivStat(sys, x, g)(stream.blocks(n, replicas), n)[0], deriv)
-    got_sync, got_cens = lyapunov._SyncStat(sys, x, y, g)(stream.blocks(n, replicas), n)
+    assert _same(lyapunov._deriv_stat(sys, x, stream.blocks(n, replicas), n)[0], deriv)
+    got_sync, got_cens = lyapunov._sync_stat(sys, x, y, stream.blocks(n, replicas), n)
     assert _same(got_sync, sync) and np.array_equal(got_cens, cens)
     eps = [0.02, 0.1, 0.3]
     kv = dict(epsilons=eps, horizons=(n,), replicas=replicas, seed=12, gamma_hat=g, exact_budget=1)
@@ -358,8 +358,8 @@ def test_exact_levels_match_frozen_loop(name):
     assert sys.n_maps**n > systems._GATHER
     rows = [srow for srow, _ in word_levels(sys, n)]
     blocks = [(0, srow[None]) for srow in rows]
-    assert _same(lyapunov._DerivStat(sys, x, 0.0)(blocks, n)[0], _frozen_deriv_stat(sys, x, rows, n))
-    got_sync, got_cens = lyapunov._SyncStat(sys, x, y, 0.0)(blocks, n)
+    assert _same(lyapunov._deriv_stat(sys, x, blocks, n)[0], _frozen_deriv_stat(sys, x, rows, n))
+    got_sync, got_cens = lyapunov._sync_stat(sys, x, y, blocks, n)
     sync, cens = _frozen_sync_stat(sys, x, y, rows, n)
     assert _same(got_sync, sync) and np.array_equal(got_cens, cens)
 

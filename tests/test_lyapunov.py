@@ -123,6 +123,29 @@ def test_sync_ld_rejects_equal_pair():
         sync_ld_curve(sys, 0.3, 0.3, gamma_hat=-1.5 * LOG2)
 
 
+def test_sync_ld_censoring_flags_and_gamma_gap():
+    """slope_pair contracts the pair by 2^-1.5 per step on average, so its
+    distance falls under CENSOR_FLOOR = 1e-300 for more and more words past
+    n = 30: a horizon is flagged once more than half its words are censored,
+    and gamma_gap is read at the largest unflagged horizon, n = 36."""
+    curve = sync_ld_curve(
+        gallery("slope_pair"), 0.2, 0.7, epsilons=[0.05, 0.2], horizons=[16, 30, 34, 36, 40, 60],
+        replicas=4000, seed=0, gamma_hat=-1.5 * LOG2,
+    )
+    assert curve.exact.tolist() == [True, False, False, False, False, False]
+    assert curve.censored_fraction.tolist() == [0.0, 0.0, 0.15225, 0.44775, 0.91875, 1.0]
+    assert curve.flagged_horizons.tolist() == (curve.censored_fraction > 0.5).tolist()
+    assert curve.flagged_horizons.tolist() == [False, False, False, False, True, True]
+    assert curve.gamma_gap == pytest.approx(8.091617105387698, rel=1e-12)
+    flagged = sync_ld_curve(
+        gallery("binary_affine"), 0.2, 0.7, epsilons=[0.05], horizons=[1100, 1200],
+        replicas=200, seed=0, gamma_hat=-LOG2,
+    )
+    assert flagged.censored_fraction.tolist() == [1.0, 1.0]
+    assert flagged.flagged_horizons.all()
+    assert math.isnan(flagged.gamma_gap), "no usable horizon leaves no gap to read"
+
+
 def test_ld_monte_carlo_brackets_and_flags():
     sys = gallery("slope_pair")
     curve = ld_curve(

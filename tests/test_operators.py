@@ -195,6 +195,16 @@ def test_quadrature_fallback_for_non_monotone_map():
     assert dev == 0.0, "sampled rows are still exactly stochastic (counts over a fixed sample size)"
 
 
+@pytest.mark.parametrize("builder", [build_transfer_ulam, build_laplace_markov])
+def test_quadrature_warning_points_at_the_builders_caller(builder):
+    tent = TabulatedMap(nodes=[0.0, 0.5, 1.0], values=[0.0, 1.0, 0.0])
+    system = SystemSpec(maps=(tent, AffineMap(0.5, 0.0)), probs=(0.5, 0.5))
+    with pytest.warns(RuntimeWarning, match="quadrature") as record:
+        op = builder(system, 64)
+    assert [w.filename for w in record] == [__file__]
+    assert op.quadrature_maps == (0,)
+
+
 def test_coo_text_round_trip():
     op = build_transfer_ulam(gallery("binary_affine"), 4)
     text = op.to_coo_text()

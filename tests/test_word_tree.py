@@ -15,7 +15,7 @@ import pytest
 from rdsw.acceptance import QN_BATTERY, _phi_mix
 from rdsw.gallery import gallery, gallery_ids
 from rdsw.geometry import distance
-from rdsw.lyapunov import CENSOR_FLOOR, _DerivStat, _SyncStat, ld_curve, sync_ld_curve
+from rdsw.lyapunov import CENSOR_FLOOR, _deriv_stat, _sync_stat, ld_curve, sync_ld_curve
 from rdsw.operators import qn_identity_test
 from rdsw.systems import (
     MoebiusMap,
@@ -86,8 +86,8 @@ def _tree_route(system, n: int, x0: float, pair: tuple) -> dict:
         x, ld, a, b = (np.repeat(v, system.n_maps) for v in (x, ld, a, b))
         ensemble_apply(system, x, srow, log_deriv=ld)
         ensemble_apply_many(system, (a, b), srow)
-    deriv, _ = _DerivStat(system, x0, 0.0)(((0, srow[None]) for srow, _ in word_levels(system, n)), n)
-    sync, cens = _SyncStat(system, *pair, 0.0)(((0, srow[None]) for srow, _ in word_levels(system, n)), n)
+    deriv, _ = _deriv_stat(system, x0, ((0, srow[None]) for srow, _ in word_levels(system, n)), n)
+    sync, cens = _sync_stat(system, *pair, ((0, srow[None]) for srow, _ in word_levels(system, n)), n)
     return {"x": x, "ld": ld, "a": a, "b": b, "weights": weights, "deriv": deriv, "sync": sync, "cens": cens}
 
 
@@ -158,8 +158,8 @@ def _distortion_gaps(system, n: int, x: float, y: float):
     """n |sync - deriv| per length-n word (the derivative statistic from x, the
     pair statistic from (x, y)) and the words' weights."""
     out = {}
-    deriv, _ = _DerivStat(system, x, 0.0)(_level_blocks(system, n, out), n)
-    sync, _ = _SyncStat(system, x, y, 0.0)(_level_blocks(system, n, {}), n)
+    deriv, _ = _deriv_stat(system, x, _level_blocks(system, n, out), n)
+    sync, _ = _sync_stat(system, x, y, _level_blocks(system, n, {}), n)
     return n * np.abs(sync - deriv), out["weights"]
 
 
